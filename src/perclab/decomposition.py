@@ -24,12 +24,11 @@ from perclab.pairing import Multigraph
 
 @dataclass(eq=False)
 class TwoCore:
-    """Peel result: masks into the parent graph plus the removal trace."""
+    """Peel result: vertex and edge masks into the parent graph."""
 
     parent: Multigraph
     alive: np.ndarray
     edge_mask: np.ndarray
-    removal_order: np.ndarray
     degrees: np.ndarray  # degree within the core; 0 for peeled vertices
 
     @property
@@ -65,11 +64,9 @@ def two_core(g: Multigraph, order: str = "ascending", seed=None) -> TwoCore:
     checking that the result does not depend on the order.
     """
     n, m = g.n, g.m
-    indptr, nbr, eid = g.adjacency()
     deg = g.degree.copy()
     alive_v = np.ones(n, dtype=bool)
     alive_e = np.ones(m, dtype=bool)
-    removal: list[int] = []
 
     candidates = np.flatnonzero(deg <= 1).tolist()
     if order == "ascending":
@@ -96,12 +93,13 @@ def two_core(g: Multigraph, order: str = "ascending", seed=None) -> TwoCore:
     else:
         raise ValueError(f"unknown peel order {order!r}")
 
+    if queue:  # often empty after light deletion; then no CSR is built
+        indptr, nbr, eid = g.adjacency()
     while queue:
         v = pop()
         if not alive_v[v]:
             continue
         alive_v[v] = False
-        removal.append(int(v))
         for s in range(indptr[v], indptr[v + 1]):
             e = eid[s]
             if not alive_e[e]:
@@ -114,13 +112,7 @@ def two_core(g: Multigraph, order: str = "ascending", seed=None) -> TwoCore:
                 push(u)
 
     deg[~alive_v] = 0
-    return TwoCore(
-        parent=g,
-        alive=alive_v,
-        edge_mask=alive_e,
-        removal_order=np.array(removal, dtype=np.int64),
-        degrees=deg,
-    )
+    return TwoCore(parent=g, alive=alive_v, edge_mask=alive_e, degrees=deg)
 
 
 def two_core_bruteforce(g: Multigraph) -> np.ndarray:
@@ -172,90 +164,57 @@ class Kernel:
         return np.array([len(c) for c in self.cycles], dtype=np.int64)
 
 
-def _kernel_walk_impl(n, m, indptr, nbr, eid, edges, branch):  # pragma: no cover
-    visited = np.zeros(m, dtype=np.bool_)
-    kedge = np.empty((m, 2), dtype=np.int64)
-    internal = np.empty(m, dtype=np.int64)
-    ek = 0
-    for b in range(n):
-        if not branch[b]:
-            continue
-        for s in range(indptr[b], indptr[b + 1]):
-            e = eid[s]
-            if visited[e]:
-                continue
-            visited[e] = True
-            prev_e = e
-            cur = nbr[s]
-            count = 0
-            while not branch[cur]:
-                # cur has degree exactly 2 and no loop; step out the other side
-                s0 = indptr[cur]
-                if eid[s0] == prev_e:
-                    s0 += 1
-                prev_e = eid[s0]
-                visited[prev_e] = True
-                cur = nbr[s0]
-                count += 1
-            kedge[ek, 0] = b
-            kedge[ek, 1] = cur
-            internal[ek] = count
-            ek += 1
-    # whatever edges remain untouched live on branchless pure cycles
-    cyc_verts = np.empty(n, dtype=np.int64)
-    cyc_bounds = np.empty(m + 1, dtype=np.int64)
-    cyc_bounds[0] = 0
-    nc = 0
-    cv = 0
-    for e0 in range(m):
-        if visited[e0]:
-            continue
-        visited[e0] = True
-        u0 = edges[e0, 0]
-        cur = edges[e0, 1]
-        cyc_verts[cv] = u0
-        cv += 1
-        prev_e = e0
-        while cur != u0:
-            cyc_verts[cv] = cur
-            cv += 1
-            s0 = indptr[cur]
-            if eid[s0] == prev_e:
-                s0 += 1
-            prev_e = eid[s0]
-            visited[prev_e] = True
-            cur = nbr[s0]
-        nc += 1
-        cyc_bounds[nc] = cv
-    return kedge[:ek], internal[:ek], cyc_verts[:cv], cyc_bounds[: nc + 1]
-
-
-try:
-    from numba import njit as _njit
-
-    _kernel_walk = _njit(cache=True)(_kernel_walk_impl)
-except ImportError:  # pragma: no cover
-    _kernel_walk = _kernel_walk_impl
-
-
 def kernel(core: Multigraph) -> Kernel:
-    """Suppress degree-2 chains of a graph with min degree >= 2."""
+    """Suppress degree-2 chains of a graph with min degree >= 2.
+
+    The degree-2 vertices split into components: a path is the interior
+    of one chain and leaves through exactly two exit edges (edges with one
+    branch endpoint), a component without exit edges is a pure cycle.
+    Edges between two branch vertices are kernel edges with no interior.
+    """
     n, m = core.n, core.m
     deg = core.degree
     if n and int(deg.min()) < 2:
         raise ValueError("kernel is defined for minimum degree >= 2 (peel first)")
-    indptr, nbr, eid = core.adjacency()
+    edges = core.edges
     branch = deg >= 3
     kverts = np.flatnonzero(branch)
     kidx = np.full(n, -1, dtype=np.int64)
     kidx[kverts] = np.arange(kverts.size, dtype=np.int64)
 
-    kedge, internal, cyc_verts, cyc_bounds = _kernel_walk(
-        n, m, indptr, nbr, eid, core.edges, branch
+    b0, b1 = branch[edges[:, 0]], branch[edges[:, 1]]
+    direct = edges[b0 & b1]
+
+    # components of the graph on the degree-2 vertices alone
+    chain_verts = np.flatnonzero(~branch)
+    cidx = np.full(n, -1, dtype=np.int64)
+    cidx[chain_verts] = np.arange(chain_verts.size, dtype=np.int64)
+    inner = cidx[edges[~(b0 | b1)]]
+    mat = csr_matrix(
+        (np.ones(inner.shape[0], dtype=np.int8), (inner[:, 0], inner[:, 1])),
+        shape=(chain_verts.size, chain_verts.size),
     )
+    ncomp, comp = _scipy_components(mat, directed=False)
+    sizes = np.bincount(comp, minlength=ncomp)
+
+    # exit edges, (branch end, chain end); a stable sort on the chain's
+    # component puts each chain's two exits side by side
+    leaving = b0 ^ b1
+    ex = np.where(b0[leaving][:, None], edges[leaving], edges[leaving][:, ::-1])
+    ex_comp = comp[cidx[ex[:, 1]]]
+    order = np.argsort(ex_comp, kind="stable")
+    ends = ex[order, 0].reshape(-1, 2)
+    chain_comp = ex_comp[order][0::2]
+
+    kedge = np.concatenate([direct, ends])
+    internal = np.concatenate([np.zeros(len(direct), dtype=np.int64), sizes[chain_comp]])
+
+    is_cycle = np.ones(ncomp, dtype=bool)
+    is_cycle[ex_comp] = False
+    members = np.argsort(comp, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
     cycles = [
-        cyc_verts[cyc_bounds[i] : cyc_bounds[i + 1]].copy()
-        for i in range(cyc_bounds.size - 1)
+        chain_verts[members[bounds[c] : bounds[c + 1]]] for c in np.flatnonzero(is_cycle)
     ]
 
     cyc_total = sum(len(c) for c in cycles)

@@ -244,57 +244,10 @@ def is_simple(g: Multigraph) -> bool:
 # ---------------------------------------------------------------------------
 # uniform pairing sampler
 #
-# Repeatedly take the lowest-indexed unmatched point and pair it with a
-# uniformly random other unmatched point.  Each of the (2m-1)!! pairings
-# comes out with probability prod_t 1/(2m-1-2t), i.e. uniformly.  The free
-# points live in a swap-removal pool so each step is O(1); the random
-# draws are pregenerated so the inner loop can be jit-compiled without
-# touching the generator (the compiled and pure-Python paths consume the
-# exact same draws and return identical arrays).
-
-
-def _pair_pool_impl(two_m, draws):  # pragma: no cover - exercised via wrappers
-    mate = np.full(two_m, -1, dtype=np.int64)
-    pool = np.arange(two_m, dtype=np.int64)
-    pos = np.arange(two_m, dtype=np.int64)
-    size = two_m
-    t = 0
-    for p in range(two_m):
-        if mate[p] >= 0:
-            continue
-        # remove p (always the lowest free point, hence at pool index 0..)
-        ip = pos[p]
-        last = pool[size - 1]
-        pool[ip] = last
-        pos[last] = ip
-        size -= 1
-        # draw q uniformly from the remaining free points
-        iq = draws[t]
-        q = pool[iq]
-        last = pool[size - 1]
-        pool[iq] = last
-        pos[last] = iq
-        size -= 1
-        mate[p] = q
-        mate[q] = p
-        t += 1
-    return mate
-
-
-try:  # the compiled kernel is an optimization only; results are identical
-    from numba import njit
-
-    _pair_pool = njit(cache=True)(_pair_pool_impl)
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _pair_pool = _pair_pool_impl
-    HAVE_NUMBA = False
-
-
-def _pairing_draws(rng: np.random.Generator, m: int) -> np.ndarray:
-    """One uniform integer in [0, 2m-1-2t) for each step t."""
-    sizes = 2 * m - 1 - 2 * np.arange(m, dtype=np.int64)
-    return rng.integers(0, sizes) if m else np.zeros(0, dtype=np.int64)
+# Lay the 2m points out in a uniformly random order and pair them off two
+# at a time.  Each of the (2m-1)!! pairings arises from exactly
+# 2^m * m! of the (2m)! orders, so each comes out with probability
+# 1/(2m-1)!!, i.e. uniformly (the configuration model of Bollobas 1980).
 
 
 def sample_configuration(seq: DegreeSequence, seed=None) -> Configuration:
@@ -304,8 +257,10 @@ def sample_configuration(seq: DegreeSequence, seed=None) -> Configuration:
     which is how multi-stage pipelines stay on one stream).
     """
     rng = np.random.default_rng(seed)
-    draws = _pairing_draws(rng, seq.m)
-    mate = _pair_pool(seq.total_points, draws)
+    perm = rng.permutation(seq.total_points)
+    mate = np.empty(seq.total_points, dtype=np.int64)
+    mate[perm[0::2]] = perm[1::2]
+    mate[perm[1::2]] = perm[0::2]
     return Configuration(seq, mate)
 
 
@@ -435,10 +390,12 @@ def parse_configuration(text: str) -> Configuration:
         raise ValueError(f"expected {seq.m} pair lines, got {len(body)}")
     for ln in body:
         b1, p1, b2, p2 = (int(x) for x in ln.split())
+        if not (1 <= b1 <= n and 1 <= b2 <= n):
+            raise ValueError(f"bucket label out of range 1..{n}: {ln!r}")
+        if not (1 <= p1 <= degrees[b1 - 1] and 1 <= p2 <= degrees[b2 - 1]):
+            raise ValueError(f"point out of bucket range: {ln!r}")
         u = seq.offsets[b1 - 1] + (p1 - 1)
         v = seq.offsets[b2 - 1] + (p2 - 1)
-        if not (0 <= p1 - 1 < degrees[b1 - 1] and 0 <= p2 - 1 < degrees[b2 - 1]):
-            raise ValueError(f"point out of bucket range: {ln!r}")
         if mate[u] != -1 or mate[v] != -1 or u == v:
             raise ValueError(f"point matched twice: {ln!r}")
         mate[u] = v

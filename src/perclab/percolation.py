@@ -8,7 +8,7 @@ compacted labels 0..n-r-1 with an explicit map back to the originals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,9 +57,7 @@ class PercolationOutcome:
     """Survivors of one deletion round.
 
     survivor labels are 0..n-r-1 in the order of the surviving original
-    buckets; bucket_map[new] gives the original label.  point_map carries
-    the same correspondence on global point ids (None when the outcome was
-    re-read from disk, where point identity is already compacted).
+    buckets; bucket_map[new] gives the original label.
     """
 
     original_n: int
@@ -67,7 +65,6 @@ class PercolationOutcome:
     survivor: Configuration
     census: np.ndarray
     bucket_map: np.ndarray
-    point_map: np.ndarray | None = field(repr=False, default=None)
 
     @property
     def r(self) -> int:
@@ -76,17 +73,6 @@ class PercolationOutcome:
     @property
     def n_survivors(self) -> int:
         return self.survivor.n
-
-    def point_relabel(self, new_bucket: int) -> np.ndarray:
-        """Original within-bucket point indices for a surviving bucket."""
-        if self.point_map is None:
-            raise ValueError("point identities were not preserved")
-        seq = self.survivor.seq
-        lo, hi = seq.offsets[new_bucket], seq.offsets[new_bucket + 1]
-        orig_bucket = self.bucket_map[new_bucket]
-        return self.point_map[lo:hi] - self._orig_offsets[orig_bucket]
-
-    _orig_offsets: np.ndarray | None = field(repr=False, default=None)
 
 
 def choose_deletion_set(params: DeletionParams) -> np.ndarray:
@@ -138,8 +124,6 @@ def apply_deletion(config: Configuration, deleted) -> PercolationOutcome:
         survivor=survivor,
         census=census,
         bucket_map=bucket_map,
-        point_map=point_map,
-        _orig_offsets=seq.offsets,
     )
 
 
@@ -230,7 +214,6 @@ def parse_outcome(text: str) -> PercolationOutcome:
         survivor=survivor,
         census=census,
         bucket_map=np.flatnonzero(keep),
-        point_map=None,
     )
 
 

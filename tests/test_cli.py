@@ -105,6 +105,15 @@ def test_analyze_rejects_malformed_input(tmp_path, capsys):
     assert "error" in err
 
 
+def test_analyze_rejects_bucket_label_out_of_range(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2 1 1\n3 1 1 1\n")
+    code, _, err = run_cli(capsys, "analyze", "-i", str(bad))
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_expansion_certificate(tmp_path, capsys):
     edges = tmp_path / "k4.txt"
     g = Multigraph(4, np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]))

@@ -168,6 +168,61 @@ def test_kernel_conservation_random():
             assert int(k.graph.degree.min()) >= 3
 
 
+@st.composite
+def subdivided_multigraph(draw):
+    """A multigraph H with min degree >= 3 (loops and parallel edges
+    included), each edge e subdivided by k_e new vertices, plus disjoint
+    cycles of lengths 1, 2 and L, all relabelled and shuffled.
+
+    Returns (graph, kernel edges with k_e in graph labels, cycle vertex sets).
+    """
+    h = draw(st.integers(min_value=2, max_value=6))
+    degs = draw(st.lists(st.integers(3, 5), min_size=h, max_size=h))
+    if sum(degs) % 2:
+        degs[0] += 1
+    points = np.repeat(np.arange(h), degs)
+    perm = draw(st.permutations(range(points.size)))
+    base = points[np.array(perm, dtype=np.int64)].reshape(-1, 2).tolist()
+    base += [[0, 0], [0, 1], [0, 1]]  # a loop and a parallel pair for sure
+    ks = [draw(st.integers(0, 4)) for _ in base]
+    ks[-3] = draw(st.integers(1, 4))  # the loop at 0 is a chain from 0 back to 0
+
+    edges, nxt = [], h
+    for (u, v), k in zip(base, ks):
+        walk = [u] + list(range(nxt, nxt + k)) + [v]
+        nxt += k
+        edges += list(zip(walk[:-1], walk[1:]))
+    L = draw(st.integers(3, 8))
+    cycles = []
+    for length in (1, 2, L):
+        ring = list(range(nxt, nxt + length))
+        nxt += length
+        edges += list(zip(ring, ring[1:] + ring[:1]))
+        cycles.append(ring)
+
+    relabel = np.array(draw(st.permutations(range(nxt))), dtype=np.int64)
+    e = relabel[np.array(edges, dtype=np.int64)]
+    flip = np.array(draw(st.lists(st.booleans(), min_size=len(e), max_size=len(e))))
+    e[flip] = e[flip][:, ::-1]
+    e = e[np.array(draw(st.permutations(range(len(e)))), dtype=np.int64)]
+    kernel_edges = [(tuple(sorted(relabel[[u, v]].tolist())), k) for (u, v), k in zip(base, ks)]
+    cycle_sets = [sorted(relabel[c].tolist()) for c in cycles]
+    return Multigraph(nxt, e), kernel_edges, cycle_sets
+
+
+@given(subdivided_multigraph())
+@settings(max_examples=150, deadline=None)
+def test_kernel_recovers_subdivided_graph(case):
+    g, kernel_edges, cycle_sets = case
+    k = kernel(g)
+    got = k.labels[k.graph.edges]
+    got = sorted((tuple(sorted(map(int, uv))), int(c)) for uv, c in zip(got, k.internal))
+    assert got == sorted(kernel_edges)
+    assert sorted(k.internal.tolist()) == sorted(c for _, c in kernel_edges)
+    assert sorted(k.cycle_lengths.tolist()) == sorted(len(c) for c in cycle_sets)
+    assert sorted(sorted(c.tolist()) for c in k.cycles) == sorted(cycle_sets)
+
+
 # ---------------------------------------------------------------------------
 # degree-2 runs
 

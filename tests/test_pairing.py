@@ -34,7 +34,6 @@ from perclab.pairing import (
     sample_simple_regular,
     write_configuration,
 )
-from perclab.pairing import HAVE_NUMBA, _pair_pool, _pair_pool_impl
 
 
 # ---------------------------------------------------------------------------
@@ -177,16 +176,12 @@ def test_specific_pair_frequency():
     assert abs(hits / n_draws - p) < 4 * sigma
 
 
-def test_kernel_and_fallback_agree():
-    if not HAVE_NUMBA:
-        pytest.skip("numba not installed; single implementation")
-    rng = np.random.default_rng(99)
-    for two_m in (2, 6, 20, 100):
-        sizes = np.arange(two_m - 1, 0, -2)
-        draws = rng.integers(0, sizes)
-        a = _pair_pool(two_m, draws)
-        b = _pair_pool_impl(two_m, draws.copy())
-        assert np.array_equal(a, b)
+def test_empty_pairing():
+    for degs in ([], [0, 0, 0]):
+        cfg = sample_configuration(DegreeSequence(np.array(degs, dtype=np.int64)), seed=1)
+        assert cfg.m == 0
+        assert cfg.mate.shape == (0,)
+        assert project(cfg).m == 0
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +306,12 @@ def test_configuration_file_roundtrip(tmp_path):
     path = tmp_path / "conf.txt"
     write_configuration(cfg, path)
     assert read_configuration(path) == cfg
+
+
+def test_parse_rejects_bucket_label_out_of_range():
+    for line in ("3 1 1 1", "1 1 3 1", "0 1 1 1", "-1 1 1 1"):
+        with pytest.raises(ValueError, match="bucket label"):
+            parse_configuration("2 1 1\n" + line + "\n")
 
 
 def test_parse_rejects_garbage():

@@ -227,7 +227,6 @@ def test_outcome_text_roundtrip(case):
     assert np.array_equal(back.census, out.census)
     assert back.survivor == out.survivor
     assert np.array_equal(back.bucket_map, out.bucket_map)
-    assert back.point_map is None  # not recoverable from text
 
 
 def test_outcome_file_roundtrip(tmp_path):

@@ -47,8 +47,14 @@ class TwoCore:
         return counts.astype(np.int64)
 
     def subgraph(self) -> tuple[Multigraph, np.ndarray]:
-        """(core as its own graph with compacted labels, original labels)."""
+        """(core as its own graph with compacted labels, original labels).
+
+        When nothing was peeled the core is the parent itself, which is
+        returned as is (with its cached degree and adjacency).
+        """
         labels = np.flatnonzero(self.alive)
+        if labels.size == self.parent.n:
+            return self.parent, labels
         relabel = np.full(self.parent.n, -1, dtype=np.int64)
         relabel[labels] = np.arange(labels.size, dtype=np.int64)
         edges = relabel[self.parent.edges[self.edge_mask]]

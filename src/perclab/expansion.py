@@ -16,10 +16,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity as sparse_identity
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _scipy_components
 from scipy.sparse.csgraph import shortest_path as _scipy_shortest_path
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from perclab.pairing import Multigraph, canonical_edges
 
@@ -207,31 +207,39 @@ def spectral_lower_bound(
     deg = g.degree
     if int(deg.min()) == 0:
         return SpectralBound(0.0, 0.0, False)
-    adj = csr_matrix(
-        (np.ones(g.m), (g.edges[:, 0], g.edges[:, 1])), shape=(n, n)
-    )
-    ncomp, _ = _scipy_components(adj, directed=False)
+    S = _normalized_adjacency(g)  # same sparsity pattern as the adjacency
+    ncomp, _ = _scipy_components(S, directed=False)
     if ncomp > 1:
         return SpectralBound(0.0, 0.0, False)
 
-    S = _normalized_adjacency(g)
     if n <= DENSE_EIG_LIMIT:
         lap = np.eye(n) - S.toarray()
         evals = np.linalg.eigvalsh(lap)
         lam2 = float(max(evals[1], 0.0))
     else:
-        # work with 2I - L = I + S (positive semidefinite, top eigenvalue 2)
+        # S has top eigenpair (1, u) with u = sqrt(deg / vol).  The
+        # reflection S - 2uu^T sends it to -1 and keeps every other
+        # eigenpair, so its top eigenvalue is 1 - lambda2.  (Deflating to
+        # S - uu^T would leave a 0 that outranks 1 - lambda2 whenever
+        # lambda2 > 1, as on complete graphs.)
+        u = np.sqrt(deg / float(deg.sum()))
+
+        def reflected(x):
+            x = np.ravel(x)
+            return S @ x - (2.0 * (u @ x)) * u
+
+        op = LinearOperator((n, n), matvec=reflected, dtype=np.float64)
         rng = np.random.default_rng(seed)
-        shifted = eigsh(
-            S + sparse_identity(n, format="csr"),
-            k=2,
+        theta = eigsh(
+            op,
+            k=1,
             which="LA",
             v0=rng.standard_normal(n),
             tol=tol,
             maxiter=maxiter,
             return_eigenvectors=False,
         )
-        lam2 = float(max(2.0 - np.min(shifted), 0.0))
+        lam2 = float(max(1.0 - theta[0], 0.0))
     value = 0.5 * lam2 * float(deg.min()) / float(deg.max())
     return SpectralBound(value, lam2, True)
 
@@ -240,7 +248,6 @@ class DiameterCheck(NamedTuple):
     diameter: float
     bound: float
     passed: bool
-    strict_pass: bool
     connected: bool
 
 
@@ -259,21 +266,18 @@ def diameter_check(g: Multigraph, beta: float) -> DiameterCheck:
 
     The ball around any vertex multiplies by at least 1+beta until it
     passes n/2, so two balls meet within the bound; that holds for every
-    connected beta-expander, and the check keeps it honest.  The strict
-    single-log form log_{1+beta}(n/2) is reported but not required.
+    connected beta-expander, and the check keeps it honest.
     """
     n = g.n
     if n == 0 or beta <= 0:
-        return DiameterCheck(math.inf, math.inf, False, False, False)
+        return DiameterCheck(math.inf, math.inf, False, False)
     dist = distance_matrix(g)
     diam = float(dist.max()) if n > 1 else 0.0
     if math.isinf(diam):
-        return DiameterCheck(diam, math.nan, False, False, False)
+        return DiameterCheck(diam, math.nan, False, False)
     log_half = math.log(n / 2.0) / math.log(1.0 + beta)
     bound = 2.0 * log_half + 2.0
-    return DiameterCheck(
-        diam, bound, diam <= bound + 1e-9, diam <= log_half + 1e-9, True
-    )
+    return DiameterCheck(diam, bound, diam <= bound + 1e-9, True)
 
 
 # ---------------------------------------------------------------------------

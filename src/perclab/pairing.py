@@ -183,9 +183,6 @@ class Multigraph:
             self._adj = (indptr, dst[order], eid[order])
         return self._adj
 
-    def loop_count(self) -> int:
-        return int(np.count_nonzero(self.edges[:, 0] == self.edges[:, 1]))
-
     def neighbor_sets(self) -> list[set[int]]:
         """Distinct neighbors, loops ignored.  Small graphs only."""
         out = [set() for _ in range(self.n)]

@@ -206,6 +206,14 @@ def parse_outcome(text: str) -> PercolationOutcome:
         raise ValueError("outcome text lacks deleted:/census: lines")
     survivor = parse_configuration("\n".join(body))
     original_n = survivor.n + deleted.size
+    if deleted.size and (deleted.min() < 0 or deleted.max() >= original_n):
+        raise ValueError(f"deleted label out of range 1..{original_n}")
+    if np.unique(deleted).size != deleted.size:
+        raise ValueError("deleted label listed twice")
+    # too short a census line yields a longer bincount, so it fails too
+    expected = np.bincount(survivor.seq.degrees, minlength=max(census.size, 1))
+    if not np.array_equal(census, expected):
+        raise ValueError("census line does not match the survivor's degrees")
     keep = np.ones(original_n, dtype=bool)
     keep[deleted] = False
     return PercolationOutcome(

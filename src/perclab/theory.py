@@ -22,10 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# a prediction below this threshold is treated as "vanishing" when the
-# aggregate report phrases expectations in words
-O1_THRESHOLD = 0.1
-
 # expected counts at least this large are flagged as concentrated
 CONCENTRATION_THRESHOLD = 30.0
 

@@ -1,10 +1,16 @@
-"""End-to-end runs of the command-line front end via main(argv)."""
+"""End-to-end runs of the command-line front end via main(argv), and
+one through ``python -m perclab`` in a subprocess."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import perclab
 from perclab.cli import main
 from perclab.pairing import (
     Multigraph,
@@ -112,6 +118,25 @@ def test_analyze_rejects_bucket_label_out_of_range(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "trailer", ["deleted: 5 6 7\ncensus: 0 0 2\n", "deleted: 1\ncensus: 9 9\n"]
+)
+def test_module_entry_rejects_inconsistent_outcome(tmp_path, trailer):
+    # two buckets joined by a double edge, then a bad deleted:/census: trailer
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2 2 2\n1 1 2 1\n1 2 2 2\n" + trailer)
+    src = str(Path(perclab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "perclab", "analyze", "-i", str(bad)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_expansion_certificate(tmp_path, capsys):

@@ -15,6 +15,7 @@ import pytest
 from perclab.pairing import DegreeSequence, Multigraph, sample_configuration, project
 from perclab.decomposition import two_core, longest_deg2_run
 from perclab.expansion import (
+    DENSE_EIG_LIMIT,
     certify,
     diameter_check,
     distance_matrix,
@@ -304,3 +305,58 @@ def test_certify_beyond_exhaustive_limit():
     assert cert.exact_beta is None
     assert cert.lower_bound > 0
     assert cert.upper_bound == pytest.approx(2 / 15)
+
+
+# ---------------------------------------------------------------------------
+# the sparse eigensolver path (n > DENSE_EIG_LIMIT) against dense answers
+
+
+def dense_lambda2(g: Multigraph) -> float:
+    """lambda2 of I - D^-1/2 A D^-1/2 by a full dense eigensolve; a loop
+    adds 2 to its diagonal entry of A, as it does to the degree."""
+    A = np.zeros((g.n, g.n))
+    np.add.at(A, (g.edges[:, 0], g.edges[:, 1]), 1.0)
+    np.add.at(A, (g.edges[:, 1], g.edges[:, 0]), 1.0)
+    s = 1.0 / np.sqrt(A.sum(axis=1))
+    return float(np.linalg.eigvalsh(np.eye(g.n) - s[:, None] * A * s[None, :])[1])
+
+
+def random_pairing_graph(n: int, d: int, seed) -> Multigraph:
+    return project(sample_configuration(DegreeSequence.regular(n, d), seed=seed))
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_sparse_spectral_matches_dense(case):
+    rng = np.random.default_rng(1000 + case)
+    d = (3, 4, 5)[case % 3]
+    n = int(rng.integers(DENSE_EIG_LIMIT + 2, 401))
+    n += (n * d) % 2
+    g = random_pairing_graph(n, d, rng)
+    sp = spectral_lower_bound(g, seed=case)
+    assert sp.connected
+    assert sp.lambda2 == pytest.approx(dense_lambda2(g), abs=1e-9)
+    assert sp.value == pytest.approx(0.5 * sp.lambda2 * g.degree.min() / g.degree.max())
+
+
+def test_sparse_spectral_on_complete_graph():
+    # lambda2 = n/(n-1) > 1: the eigenvalue the reflection moves must not
+    # come back as the answer
+    n = 70
+    g = Multigraph(n, np.array(list(combinations(range(n), 2))))
+    assert spectral_lower_bound(g).lambda2 == pytest.approx(n / (n - 1), abs=1e-9)
+
+
+def test_sparse_spectral_on_a_bottleneck():
+    left = random_pairing_graph(100, 4, 7)
+    right = random_pairing_graph(100, 4, 8)
+    edges = np.concatenate([left.edges, right.edges + 100, [[0, 100]]])
+    g = Multigraph(200, edges)
+    sp = spectral_lower_bound(g)
+    ref = dense_lambda2(g)
+    assert 0 < ref < 0.01
+    assert sp.lambda2 == pytest.approx(ref, abs=1e-9)
+
+
+def test_sparse_spectral_is_deterministic():
+    g = random_pairing_graph(300, 4, 11)
+    assert spectral_lower_bound(g, seed=5).lambda2 == spectral_lower_bound(g, seed=5).lambda2

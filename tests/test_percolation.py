@@ -239,3 +239,25 @@ def test_outcome_file_roundtrip(tmp_path):
     back = read_outcome(path)
     assert np.array_equal(back.census, out.census)
     assert back.survivor == out.survivor
+
+
+def triangle_outcome_text() -> str:
+    text = format_outcome(apply_deletion(triangle_config(), np.array([1])))
+    assert text.endswith("deleted: 2\ncensus: 0 2 0\n")
+    return text[: -len("deleted: 2\ncensus: 0 2 0\n")]
+
+
+@pytest.mark.parametrize(
+    "trailer, message",
+    [
+        ("deleted: 5\ncensus: 0 2 0\n", "out of range"),
+        ("deleted: 0\ncensus: 0 2 0\n", "out of range"),
+        ("deleted: 2 2\ncensus: 0 2 0\n", "twice"),
+        ("deleted: 2\ncensus: 9 9\n", "census"),
+        ("deleted: 2\ncensus: 0 1 1\n", "census"),
+        ("deleted: 2\ncensus: 2\n", "census"),  # shorter than max degree + 1
+    ],
+)
+def test_parse_outcome_rejects_inconsistent_trailer(trailer, message):
+    with pytest.raises(ValueError, match=message):
+        parse_outcome(triangle_outcome_text() + trailer)

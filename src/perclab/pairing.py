@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 DEFAULT_RETRY_CAP = 10_000
 
@@ -145,6 +146,8 @@ class Multigraph:
     _adj: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"vertex count n={self.n} is negative")
         e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         if e.size and (e.min() < 0 or e.max() >= self.n):
             raise ValueError("edge endpoint out of range")
@@ -177,10 +180,14 @@ class Multigraph:
             src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
             dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
             eid = np.tile(np.arange(self.m, dtype=np.int64), 2)
-            order = np.argsort(src, kind="stable")
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
-            self._adj = (indptr, dst[order], eid[order])
+            # counting sort: the CSR of the n x 2m slot matrix lists each
+            # row's slots in increasing order, i.e. a stable argsort of src
+            slot = np.arange(src.size, dtype=np.int64)
+            by_src = csr_matrix(
+                (np.ones(src.size, dtype=np.int8), (src, slot)), shape=(self.n, src.size)
+            )
+            order = by_src.indices
+            self._adj = (by_src.indptr.astype(np.int64), dst[order], eid[order])
         return self._adj
 
     def neighbor_sets(self) -> list[set[int]]:
@@ -297,8 +304,7 @@ def sample_simple_regular(
 def pair_probability(m: int, k: int) -> float:
     """P(k disjoint prescribed pairs all occur) in a uniform pairing of 2m points.
 
-    Exact value: prod_{i<k} 1/(2m-1-2i).  The asymptotic shorthand
-    (2m)**-k is available from pair_probability_asymptotic.
+    Exact value: prod_{i<k} 1/(2m-1-2i).
     """
     if not (0 <= k <= m):
         raise ValueError(f"need 0 <= k <= m, got k={k}, m={m}")
@@ -306,12 +312,6 @@ def pair_probability(m: int, k: int) -> float:
     for i in range(k):
         out /= 2 * m - 1 - 2 * i
     return out
-
-
-def pair_probability_asymptotic(m: int, k: int) -> float:
-    if not (0 <= k <= m):
-        raise ValueError(f"need 0 <= k <= m, got k={k}, m={m}")
-    return float((2 * m) ** -k)
 
 
 def matching_key(mate: np.ndarray) -> tuple:
@@ -424,14 +424,6 @@ def parse_multigraph(text: str) -> Multigraph:
         u, v = (int(x) for x in ln.split())
         edges.append((u - 1, v - 1))
     return Multigraph.from_edges(n, edges)
-
-
-def write_multigraph(g: Multigraph, path_or_file) -> None:
-    _write_text(path_or_file, format_multigraph(g))
-
-
-def read_multigraph(path_or_file) -> Multigraph:
-    return parse_multigraph(_read_text(path_or_file))
 
 
 def _write_text(path_or_file, text: str) -> None:

@@ -120,6 +120,15 @@ def test_analyze_rejects_bucket_label_out_of_range(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def run_module(*argv):
+    src = str(Path(perclab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-m", "perclab", *argv], capture_output=True, text=True, env=env
+    )
+
+
 @pytest.mark.parametrize(
     "trailer", ["deleted: 5 6 7\ncensus: 0 0 2\n", "deleted: 1\ncensus: 9 9\n"]
 )
@@ -127,15 +136,20 @@ def test_module_entry_rejects_inconsistent_outcome(tmp_path, trailer):
     # two buckets joined by a double edge, then a bad deleted:/census: trailer
     bad = tmp_path / "bad.txt"
     bad.write_text("2 2 2\n1 1 2 1\n1 2 2 2\n" + trailer)
-    src = str(Path(perclab.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "perclab", "analyze", "-i", str(bad)],
-        capture_output=True, text=True, env=env,
-    )
+    proc = run_module("analyze", "-i", str(bad))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["analyze", "expansion"])
+def test_module_entry_rejects_negative_vertex_count(tmp_path, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("-3\n")
+    proc = run_module(command, "-i", str(bad))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "n=-3" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -5,12 +5,20 @@ plus a brute-force maximal-subgraph search for graphs up to 16 vertices
 (two_core_bruteforce enumerates all vertex subsets).
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perclab.pairing import DegreeSequence, Multigraph, sample_configuration, project
+from perclab.pairing import (
+    DegreeSequence,
+    Multigraph,
+    project,
+    sample_configuration,
+    sample_simple_regular,
+)
 from perclab.decomposition import (
     bushes,
     classify_components,
@@ -79,19 +87,59 @@ def test_loop_survives_peeling():
     assert np.array_equal(core.alive, [True, False])
 
 
-def test_peel_order_does_not_matter():
+def test_peel_commutes_with_relabelling():
+    # rounds take the front in label order; a relabelled graph must give
+    # the relabelled core
     rng = np.random.default_rng(0)
     for trial in range(25):
-        n = int(rng.integers(3, 14))
+        n = int(rng.integers(3, 40))
         degs = rng.integers(0, 4, size=n)
         if degs.sum() % 2:
             degs[0] += 1
         cfg = sample_configuration(DegreeSequence(degs), seed=int(rng.integers(2**31)))
         g = project(cfg)
-        a = two_core(g, order="ascending")
-        b = two_core(g, order="random", seed=trial)
-        assert np.array_equal(a.alive, b.alive)
-        assert np.array_equal(a.edge_mask, b.edge_mask)
+        perm = rng.permutation(n)
+        a = two_core(g)
+        b = two_core(Multigraph(n, perm[g.edges]))
+        assert np.array_equal(b.alive[perm], a.alive)
+        assert np.array_equal(b.edge_mask, a.edge_mask)
+        assert np.array_equal(b.degrees[perm], a.degrees)
+
+
+def test_peel_matches_networkx_k_core():
+    nx = pytest.importorskip("networkx")
+    for seed, p in [(0, 0.1), (1, 0.2), (2, 0.3)]:
+        rng = np.random.default_rng(seed)
+        _, g, _ = sample_simple_regular(2000, 3, seed=rng)
+        survivor, _ = g.induced(rng.random(g.n) >= p)
+        core = two_core(survivor)
+        G = nx.Graph()
+        G.add_nodes_from(range(survivor.n))
+        G.add_edges_from(survivor.edges.tolist())
+        ref = nx.k_core(G, 2)
+        alive = np.zeros(survivor.n, dtype=bool)
+        alive[list(ref.nodes)] = True
+        assert 0 < core.size < survivor.n
+        assert np.array_equal(core.alive, alive)
+        assert np.array_equal(core.edge_mask, alive[survivor.edges].all(axis=1))
+        ref_deg = np.zeros(survivor.n, dtype=np.int64)
+        for v, k in ref.degree:
+            ref_deg[v] = k
+        assert np.array_equal(core.degrees, ref_deg)
+
+
+def test_long_pendant_path_peels_in_time():
+    # a triangle with a 10^5-vertex tail: the peel takes one round per
+    # tail vertex
+    n = 100_000
+    tail = np.column_stack([np.arange(2, n - 1), np.arange(3, n)])
+    g = Multigraph(n, np.concatenate([[[0, 1], [1, 2], [2, 0]], tail]))
+    t0 = time.perf_counter()
+    core = two_core(g)
+    elapsed = time.perf_counter() - t0
+    assert np.array_equal(np.flatnonzero(core.alive), [0, 1, 2])
+    assert np.array_equal(np.flatnonzero(core.edge_mask), [0, 1, 2])
+    assert elapsed < 10.0
 
 
 def test_peel_matches_bruteforce():

@@ -25,7 +25,6 @@ from perclab.pairing import (
     is_simple,
     matching_key,
     pair_probability,
-    pair_probability_asymptotic,
     parse_configuration,
     parse_multigraph,
     project,
@@ -105,12 +104,6 @@ def test_pair_probability_vs_enumeration():
     # fraction of matchings of 6 points containing the pair (0, 1)
     hits = sum((0, 1) in key for key in enumerate_matchings(6))
     assert hits / 15 == pytest.approx(pair_probability(3, 1))
-
-
-def test_pair_probability_asymptotic_is_leading_order():
-    exact = pair_probability(500, 3)
-    approx = pair_probability_asymptotic(500, 3)
-    assert approx == pytest.approx(exact, rel=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +209,30 @@ def test_is_simple_cases():
     assert is_simple(Multigraph(3, np.zeros((0, 2), dtype=np.int64)))
 
 
+def adjacency_by_argsort(g):
+    src = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
+    dst = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
+    eid = np.tile(np.arange(g.m, dtype=np.int64), 2)
+    order = np.argsort(src, kind="stable")
+    return np.cumsum(np.bincount(src, minlength=g.n)), dst[order], eid[order]
+
+
+def test_adjacency_is_stable_argsort_incidence():
+    rng = np.random.default_rng(3)
+    graphs = [Multigraph(0, np.zeros((0, 2))), Multigraph(5, np.zeros((0, 2)))]
+    for _ in range(30):
+        n = int(rng.integers(1, 30))
+        # few vertices, many edges: loops, parallel edges, isolated vertices
+        graphs.append(Multigraph(n, rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))))
+    for g in graphs:
+        indptr, nbr, eid = g.adjacency()
+        ref_ends, ref_nbr, ref_eid = adjacency_by_argsort(g)
+        assert indptr.dtype == nbr.dtype == eid.dtype == np.int64
+        assert indptr[0] == 0 and np.array_equal(indptr[1:], ref_ends)
+        assert np.array_equal(nbr, ref_nbr)
+        assert np.array_equal(eid, ref_eid)
+
+
 def test_four_vertices_cubic_is_complete_graph():
     # the only simple cubic graph on 4 vertices is K4, whatever the seed
     want = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
@@ -319,3 +336,10 @@ def test_parse_rejects_garbage():
         parse_configuration("3 2 2\n1 1 2 1\n")  # header says n=3 but lists 2 degrees
     with pytest.raises(ValueError):
         parse_multigraph("1 2 3\n")
+
+
+def test_parse_rejects_negative_vertex_count():
+    with pytest.raises(ValueError, match="n=-3"):
+        parse_multigraph("-3")
+    with pytest.raises(ValueError, match="n=-1"):
+        Multigraph(-1, np.zeros((0, 2), dtype=np.int64))

@@ -20,7 +20,7 @@ import numpy as np
 
 from perclab.decomposition import (
     classify_components,
-    longest_deg2_run,
+    kernel,
     two_core,
     two_core_bruteforce,
 )
@@ -389,7 +389,7 @@ def crit_10_oracles(ctx) -> CriterionResult:
             sp_c = spectral_lower_bound(core_g)
             ok = sp_c.value <= ev_c.value + 1e-9
             if ok:
-                ub = path_upper_bound(longest_deg2_run(core_g), core_g.n)
+                ub = path_upper_bound(kernel(core_g).longest_run, core_g.n)
                 if ub is not None:
                     checked_path += 1
                     ok = ev_c.value <= ub + 1e-12

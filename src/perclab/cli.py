@@ -14,8 +14,8 @@ import sys
 
 from perclab import theory
 from perclab.acceptance import run_criteria
-from perclab.decomposition import decompose
-from perclab.expansion import certify
+from perclab.decomposition import decompose, kernel, two_core
+from perclab.expansion import EXHAUSTIVE_LIMIT, certify
 from perclab.harness import (
     ExperimentConfig,
     read_config,
@@ -97,15 +97,13 @@ def cmd_analyze(args) -> int:
 
 def cmd_expansion(args) -> int:
     g = _graph_from_text(_read_input_text(args.input))
-    limit = 0 if args.bounds else args.limit
-    from perclab.decomposition import two_core, longest_deg2_run
-
+    limit = 0 if args.bounds else EXHAUSTIVE_LIMIT
     run = None
     core = two_core(g)
     if core.size:
         core_g, _ = core.subgraph()
-        run = longest_deg2_run(core_g)
-    cert = certify(g, exhaustive_limit=limit, longest_run=run, seed=args.seed)
+        run = kernel(core_g).longest_run
+    cert = certify(g, limit=limit, longest_run=run, seed=args.seed)
     _write_output(json.dumps(cert.to_dict(), indent=1, sort_keys=True) + "\n", args.output)
     return 0
 
@@ -193,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expansion", help="expansion certificate for a graph")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--bounds", action="store_true", help="skip the exact search")
-    p.add_argument("--limit", type=int, default=20, help="exact-search size cap")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_expansion)

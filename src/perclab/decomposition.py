@@ -7,12 +7,14 @@ acyclic edges; components of the acyclic part are bushes, each anchored
 to the core in at most one root.  Suppressing the core's degree-2 chains
 gives the kernel (minimum degree 3), except for pure cycle components,
 which have no branch vertex and are reported separately.
+
+Bushes and connected components come back as labellings (one label per
+vertex, one size per label); member lists are built only on request.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -125,6 +127,32 @@ def two_core_bruteforce(g: Multigraph) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# component labelling
+
+
+def _components(n: int, edges: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(count, label per vertex, size per label) of the graph on 0..n-1
+    with the given edge list; the one place a CSR is built here."""
+    mat = csr_matrix(
+        (np.ones(edges.shape[0], dtype=np.int8), (edges[:, 0], edges[:, 1])),
+        shape=(n, n),
+    )
+    ncomp, labels = _scipy_components(mat, directed=False)
+    return ncomp, labels, np.bincount(labels, minlength=ncomp)
+
+
+def _members(labels: np.ndarray, sizes: np.ndarray, which: np.ndarray) -> list[np.ndarray]:
+    """The vertices of each component in which (increasing labels), each
+    in increasing order.  Only those components' vertices are sorted, and
+    a label of -1 (no component) is never picked."""
+    if len(which) == 0:
+        return []
+    picked = np.flatnonzero(np.isin(labels, which))
+    picked = picked[np.argsort(labels[picked], kind="stable")]
+    return np.split(picked, np.cumsum(sizes[which])[:-1])
+
+
+# ---------------------------------------------------------------------------
 # kernel
 
 
@@ -146,6 +174,19 @@ class Kernel:
     @property
     def cycle_lengths(self) -> np.ndarray:
         return np.array([len(c) for c in self.cycles], dtype=np.int64)
+
+    @property
+    def longest_run(self) -> int:
+        """Longest maximal degree-2 run: a chain's internal vertices, or
+        L-1 for a pure cycle of length L."""
+        return max(int(self.internal.max(initial=0)), int(self.cycle_lengths.max(initial=1)) - 1)
+
+    def runs_at_least(self, k: int) -> int:
+        """Number of maximal degree-2 runs of length >= k, counted as in
+        longest_run."""
+        if k < 1:
+            raise ValueError("run length must be >= 1")
+        return int(np.count_nonzero(self.internal >= k) + np.count_nonzero(self.cycle_lengths > k))
 
 
 def kernel(core: Multigraph) -> Kernel:
@@ -173,13 +214,7 @@ def kernel(core: Multigraph) -> Kernel:
     chain_verts = np.flatnonzero(~branch)
     cidx = np.full(n, -1, dtype=np.int64)
     cidx[chain_verts] = np.arange(chain_verts.size, dtype=np.int64)
-    inner = cidx[edges[~(b0 | b1)]]
-    mat = csr_matrix(
-        (np.ones(inner.shape[0], dtype=np.int8), (inner[:, 0], inner[:, 1])),
-        shape=(chain_verts.size, chain_verts.size),
-    )
-    ncomp, comp = _scipy_components(mat, directed=False)
-    sizes = np.bincount(comp, minlength=ncomp)
+    ncomp, comp, sizes = _components(chain_verts.size, cidx[edges[~(b0 | b1)]])
 
     # exit edges, (branch end, chain end); a stable sort on the chain's
     # component puts each chain's two exits side by side
@@ -195,13 +230,9 @@ def kernel(core: Multigraph) -> Kernel:
 
     is_cycle = np.ones(ncomp, dtype=bool)
     is_cycle[ex_comp] = False
-    members = np.argsort(comp, kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    cycles = [
-        chain_verts[members[bounds[c] : bounds[c + 1]]] for c in np.flatnonzero(is_cycle)
-    ]
+    cycles = [chain_verts[c] for c in _members(comp, sizes, np.flatnonzero(is_cycle))]
 
-    cyc_total = sum(len(c) for c in cycles)
+    cyc_total = int(sizes[is_cycle].sum())
     # conservation: every core vertex is a branch vertex, an internal chain
     # vertex, or on a pure cycle; ditto edges
     assert kverts.size + int(internal.sum()) + cyc_total == n
@@ -211,128 +242,110 @@ def kernel(core: Multigraph) -> Kernel:
     return Kernel(graph=kgraph, labels=kverts, internal=internal, cycles=cycles)
 
 
-class PathCount(NamedTuple):
-    count: int
-    cycle_flag: bool
-
-
-@dataclass(frozen=True)
-class Deg2Runs:
-    """Maximal degree-2 runs of a 2-core: chain runs sit between branch
-    vertices; a pure cycle of length L counts as a cyclic run of L-1."""
-
-    chain_internal: np.ndarray  # internal vertices per kernel edge (0 allowed)
-    cycle_lengths: np.ndarray
-
-    @property
-    def longest(self) -> int:
-        best = 0
-        if self.chain_internal.size:
-            best = int(self.chain_internal.max())
-        if self.cycle_lengths.size:
-            best = max(best, int(self.cycle_lengths.max()) - 1)
-        return best
-
-    def count_at_least(self, k: int) -> PathCount:
-        if k < 1:
-            raise ValueError("run length must be >= 1")
-        chains = int(np.count_nonzero(self.chain_internal >= k))
-        cyc = int(np.count_nonzero(self.cycle_lengths - 1 >= k))
-        return PathCount(chains + cyc, cyc > 0)
-
-
-def deg2_runs(core: Multigraph) -> Deg2Runs:
-    k = kernel(core)
-    return Deg2Runs(chain_internal=k.internal, cycle_lengths=k.cycle_lengths)
-
-
-def longest_deg2_run(core: Multigraph) -> int:
-    return deg2_runs(core).longest
-
-
-def count_deg2_paths(core: Multigraph, k: int) -> PathCount:
-    return deg2_runs(core).count_at_least(k)
-
-
 # ---------------------------------------------------------------------------
 # bushes
 
 
 @dataclass(eq=False)
-class Bush:
-    """One component of the acyclic part.  root is the unique 2-core vertex
-    (None for free-standing trees, including isolated vertices)."""
+class Bushes:
+    """Components of the acyclic part, as a labelling of the parent graph.
 
-    vertices: np.ndarray
-    root: int | None
+    labels[v] is v's bush, or -1 for a core vertex that no acyclic edge
+    touches; roots[b] is bush b's one 2-core vertex, or -1 for a
+    free-standing tree (isolated vertices included).
+    """
+
+    labels: np.ndarray
+    sizes: np.ndarray
+    roots: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.sizes)
 
     @property
-    def size(self) -> int:
-        return int(self.vertices.size)
+    def max_size(self) -> int:
+        return int(self.sizes.max(initial=0))
+
+    def vertices(self) -> list[np.ndarray]:
+        """Each bush's vertices in increasing order, bush by bush."""
+        return _members(self.labels, self.sizes, np.arange(len(self)))
 
 
-def bushes(g: Multigraph, core: TwoCore | None = None) -> list[Bush]:
+def bushes(g: Multigraph, core: TwoCore | None = None) -> Bushes:
     """Components of the graph minus the cyclic (2-core) edges, skipping
     the trivial singletons that are bare core vertices."""
     if core is None:
         core = two_core(g)
     acyclic = g.edges[~core.edge_mask]
-    relevant = ~core.alive
-    relevant[acyclic.ravel()] = True
-    verts = np.flatnonzero(relevant)
+    in_bush = ~core.alive
+    in_bush[acyclic.ravel()] = True
+    verts = np.flatnonzero(in_bush)
+    labels = np.full(g.n, -1, dtype=np.int64)
     if verts.size == 0:
-        return []
-    relabel = np.full(g.n, -1, dtype=np.int64)
-    relabel[verts] = np.arange(verts.size, dtype=np.int64)
-    sub = relabel[acyclic]
-    mat = csr_matrix(
-        (np.ones(sub.shape[0], dtype=np.int8), (sub[:, 0], sub[:, 1])),
-        shape=(verts.size, verts.size),
-    )
-    ncomp, labels = _scipy_components(mat, directed=False)
-    out = []
-    order = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[order], np.arange(ncomp + 1))
-    for c in range(ncomp):
-        members = verts[order[bounds[c] : bounds[c + 1]]]
-        roots = members[core.alive[members]]
-        if roots.size > 1:
-            raise AssertionError("a bush met the core in more than one vertex")
-        out.append(Bush(vertices=members, root=int(roots[0]) if roots.size else None))
-    return out
+        none = np.zeros(0, dtype=np.int64)
+        return Bushes(labels=labels, sizes=none, roots=none)
+    # labels first holds the compact index of each bush vertex
+    labels[verts] = np.arange(verts.size, dtype=np.int64)
+    ncomp, comp, sizes = _components(verts.size, labels[acyclic])
+    labels[verts] = comp
+
+    on_core = core.alive[verts]
+    if np.any(np.bincount(comp[on_core], minlength=ncomp) > 1):
+        raise AssertionError("a bush met the core in more than one vertex")
+    roots = np.full(ncomp, -1, dtype=np.int64)
+    roots[comp[on_core]] = verts[on_core]
+    return Bushes(labels=labels, sizes=sizes, roots=roots)
 
 
 # ---------------------------------------------------------------------------
 # connected components and their kinds
 
+GIANT, TREE, CYCLE, OTHER = range(4)
+
 
 @dataclass(eq=False)
 class ComponentReport:
+    """labels[v] is v's component; kinds[c] is GIANT for the giant and
+    TREE, CYCLE or OTHER for every other component."""
+
     n_components: int
     labels: np.ndarray
     sizes: np.ndarray
+    kinds: np.ndarray
     giant_label: int | None
     giant_size: int
-    tree_comps: list[np.ndarray]  # non-giant tree components
-    cycle_comps: list[np.ndarray]  # non-giant cycle components
-    other_comps: list[np.ndarray]  # anything else non-giant
     K: int | None = None
 
     @property
     def connected(self) -> bool:
         return self.n_components <= 1
 
+    def _of_kind(self, kind: int) -> list[np.ndarray]:
+        return _members(self.labels, self.sizes, np.flatnonzero(self.kinds == kind))
+
+    @property
+    def tree_comps(self) -> list[np.ndarray]:
+        return self._of_kind(TREE)
+
+    @property
+    def cycle_comps(self) -> list[np.ndarray]:
+        return self._of_kind(CYCLE)
+
+    @property
+    def other_comps(self) -> list[np.ndarray]:
+        return self._of_kind(OTHER)
+
     @property
     def max_isolated_tree_size(self) -> int:
-        return max((len(c) for c in self.tree_comps), default=0)
+        return int(self.sizes[self.kinds == TREE].max(initial=0))
 
     @property
     def isolated_cycle_count(self) -> int:
-        return len(self.cycle_comps)
+        return int(np.count_nonzero(self.kinds == CYCLE))
 
     @property
     def other_count(self) -> int:
-        return len(self.other_comps)
+        return int(np.count_nonzero(self.kinds == OTHER))
 
     @property
     def all_trees_within_K(self) -> bool | None:
@@ -352,48 +365,26 @@ def classify_components(g: Multigraph, K: int | None = None) -> ComponentReport:
     vertex label.  A non-giant component is a tree when its edge count is
     size-1, a cycle when edges == size and every degree is 2, else other.
     """
-    n = g.n
-    if n == 0:
-        return ComponentReport(
-            0, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-            None, 0, [], [], [], K,
-        )
-    mat = csr_matrix(
-        (np.ones(g.m, dtype=np.int8), (g.edges[:, 0], g.edges[:, 1])),
-        shape=(n, n),
-    )
-    ncomp, labels = _scipy_components(mat, directed=False)
-    sizes = np.bincount(labels, minlength=ncomp).astype(np.int64)
-    giant_size = int(sizes.max())
-    # first vertex living in a maximum-size component decides the tie
-    giant_label = int(labels[np.flatnonzero(sizes[labels] == giant_size)[0]])
-
+    ncomp, labels, sizes = _components(g.n, g.edges)
     edge_counts = np.bincount(labels[g.edges[:, 0]], minlength=ncomp)
-    deg = g.degree
-    order = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[order], np.arange(ncomp + 1))
+    off_two = np.bincount(labels[g.degree != 2], minlength=ncomp)
+    kinds = np.full(ncomp, OTHER, dtype=np.int8)
+    kinds[edge_counts == sizes - 1] = TREE
+    kinds[(edge_counts == sizes) & (off_two == 0)] = CYCLE
 
-    trees, cycles, others = [], [], []
-    for c in range(ncomp):
-        if c == giant_label:
-            continue
-        members = order[bounds[c] : bounds[c + 1]]
-        s, e = sizes[c], int(edge_counts[c])
-        if e == s - 1:
-            trees.append(members)
-        elif e == s and bool(np.all(deg[members] == 2)):
-            cycles.append(members)
-        else:
-            others.append(members)
+    giant_label, giant_size = None, 0
+    if ncomp:
+        giant_size = int(sizes.max())
+        # first vertex living in a maximum-size component decides the tie
+        giant_label = int(labels[np.flatnonzero(sizes[labels] == giant_size)[0]])
+        kinds[giant_label] = GIANT
     return ComponentReport(
         n_components=int(ncomp),
-        labels=labels.astype(np.int64),
+        labels=labels,
         sizes=sizes,
+        kinds=kinds,
         giant_label=giant_label,
         giant_size=giant_size,
-        tree_comps=trees,
-        cycle_comps=cycles,
-        other_comps=others,
         K=K,
     )
 
@@ -409,9 +400,8 @@ class Decomposition:
     core_graph: Multigraph
     core_labels: np.ndarray
     kernel: Kernel
-    bushes: list[Bush]
+    bushes: Bushes
     components: ComponentReport
-    runs: Deg2Runs
     K: int | None = None
 
     @property
@@ -428,7 +418,7 @@ class Decomposition:
 
     @property
     def longest_deg2_run(self) -> int:
-        return self.runs.longest
+        return self.kernel.longest_run
 
     @property
     def core_cycles(self) -> list[np.ndarray]:
@@ -437,7 +427,7 @@ class Decomposition:
 
     @property
     def max_bush_size(self) -> int:
-        return max((b.size for b in self.bushes), default=0)
+        return self.bushes.max_size
 
     def report(self) -> dict:
         comp = self.components
@@ -448,11 +438,8 @@ class Decomposition:
             "kernel_size": self.kernel_size,
             "core_census": self.core_census.tolist(),
             "bushes": [
-                {
-                    "vertices": (b.vertices + 1).tolist(),
-                    "root": None if b.root is None else int(b.root) + 1,
-                }
-                for b in self.bushes
+                {"vertices": (v + 1).tolist(), "root": None if r < 0 else int(r) + 1}
+                for v, r in zip(self.bushes.vertices(), self.bushes.roots)
             ],
             "isolated_trees": [(c + 1).tolist() for c in comp.tree_comps],
             "isolated_cycles": [(c + 1).tolist() for c in comp.cycle_comps],
@@ -466,16 +453,13 @@ class Decomposition:
 def decompose(g: Multigraph, K: int | None = None) -> Decomposition:
     core = two_core(g)
     core_g, core_labels = core.subgraph()
-    kern = kernel(core_g)
-    runs = Deg2Runs(chain_internal=kern.internal, cycle_lengths=kern.cycle_lengths)
     return Decomposition(
         graph=g,
         core=core,
         core_graph=core_g,
         core_labels=core_labels,
-        kernel=kern,
+        kernel=kernel(core_g),
         bushes=bushes(g, core),
         components=classify_components(g, K),
-        runs=runs,
         K=K,
     )

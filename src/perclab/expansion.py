@@ -421,7 +421,7 @@ class ExpansionCertificate:
 
 def certify(
     g: Multigraph,
-    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
+    limit: int = EXHAUSTIVE_LIMIT,
     longest_run: int | None = None,
     seed=0,
     with_diameter: bool | None = None,
@@ -441,9 +441,9 @@ def certify(
         if ub is not None:
             cert.upper_bound = ub
             cert.upper_source = "degree-2 run"
-    if g.n <= exhaustive_limit:
-        ev = exact_vertex_expansion(g, exhaustive_limit)
-        ee = exact_edge_expansion(g, exhaustive_limit)
+    if g.n <= limit:
+        ev = exact_vertex_expansion(g, limit)
+        ee = exact_edge_expansion(g, limit)
         cert.exact_beta = ev.value
         cert.witness = ev.witness
         cert.exact_gamma = ee.value

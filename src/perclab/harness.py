@@ -20,7 +20,7 @@ from scipy import stats
 
 from perclab import theory
 from perclab.decomposition import decompose
-from perclab.expansion import certify, path_upper_bound, spectral_lower_bound
+from perclab.expansion import EXHAUSTIVE_LIMIT, certify, path_upper_bound, spectral_lower_bound
 from perclab.pairing import (
     DegreeSequence,
     double_factorial_odd,
@@ -39,8 +39,8 @@ class ExperimentConfig:
     Exactly one of alpha (p = n**-alpha) or p must be given.  mode is
     'multigraph' (raw pairing projection) or 'simple' (rejection until the
     projection is simple).  exhaustive_expansion turns on expansion
-    certificates: exact search when the survivor fits under
-    exhaustive_limit vertices, spectral/run bounds otherwise.
+    certificates: exact search when the survivor has at most
+    EXHAUSTIVE_LIMIT vertices, spectral/run bounds otherwise.
     """
 
     n: int
@@ -52,7 +52,6 @@ class ExperimentConfig:
     base_seed: int = 0
     mode: str = "multigraph"
     exhaustive_expansion: bool = False
-    exhaustive_limit: int = 20
     K: int | None = None
 
     def __post_init__(self):
@@ -164,13 +163,8 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     beta_exact = beta_lower = beta_upper = lambda2 = diameter = None
     beta_upper = path_upper_bound(dec.longest_deg2_run, graph.n)
     if config.exhaustive_expansion:
-        if graph.n <= config.exhaustive_limit:
-            cert = certify(
-                graph,
-                exhaustive_limit=config.exhaustive_limit,
-                longest_run=dec.longest_deg2_run,
-                seed=rng,
-            )
+        if graph.n <= EXHAUSTIVE_LIMIT:
+            cert = certify(graph, longest_run=dec.longest_deg2_run, seed=rng)
             beta_exact = cert.exact_beta
             beta_lower = cert.lower_bound
             lambda2 = cert.lambda2
@@ -207,7 +201,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
         kernel_size=dec.kernel_size,
         core_cycle_count=len(dec.kernel.cycles),
         longest_deg2_run=dec.longest_deg2_run,
-        deg2_paths_ge2=dec.runs.count_at_least(2).count,
+        deg2_paths_ge2=dec.kernel.runs_at_least(2),
         rejections=rejections,
         beta_exact=beta_exact,
         beta_lower=beta_lower,
@@ -411,35 +405,6 @@ def write_csv(report: ExperimentReport, path_or_file) -> None:
             fh.close()
 
 
-def _csv_value(text: str):
-    if text == "":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    if text in ("True", "False"):
-        return text == "True"
-    return text
-
-
-def read_csv(path_or_file) -> list[dict]:
-    own = not hasattr(path_or_file, "read")
-    fh = open(path_or_file, newline="") if own else path_or_file
-    try:
-        return [
-            {k: _csv_value(v) for k, v in row.items()}
-            for row in csv.DictReader(fh)
-        ]
-    finally:
-        if own:
-            fh.close()
-
-
 # ---------------------------------------------------------------------------
 # config files: flat "key = value" lines, # comments
 
@@ -454,7 +419,6 @@ _CONFIG_TYPES = {
     "base_seed": int,
     "mode": str,
     "exhaustive_expansion": bool,
-    "exhaustive_limit": int,
     "K": int,
 }
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from perclab import theory
 from perclab.pairing import (
     Configuration,
     DegreeSequence,
@@ -129,20 +128,6 @@ def apply_deletion(config: Configuration, deleted) -> PercolationOutcome:
 
 def percolate(config: Configuration, params: DeletionParams) -> PercolationOutcome:
     return apply_deletion(config, choose_deletion_set(params))
-
-
-def degree_census(outcome: PercolationOutcome, alpha: float | None = None):
-    """(N_0..N_d, mu_0..mu_d or None).
-
-    The mu companion values need alpha; with an explicit deletion
-    probability and no alpha there is no n**-alpha scale to report.
-    """
-    census = outcome.census
-    if alpha is None:
-        return census, None
-    d = census.size - 1
-    params = theory.ModelParams(outcome.original_n, d, alpha)
-    return census, np.array(theory.mu_all(params))
 
 
 def reinstate(

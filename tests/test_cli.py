@@ -153,6 +153,16 @@ def test_module_entry_rejects_negative_vertex_count(tmp_path, command):
     assert "Traceback" not in proc.stderr
 
 
+def test_expansion_has_no_limit_option(tmp_path):
+    # the exact search is capped at 20 vertices; a 40-cycle would need 2^40 subsets
+    ring = tmp_path / "ring40.txt"
+    ring.write_text(format_multigraph(Multigraph(40, np.array([[i, (i + 1) % 40] for i in range(40)]))))
+    proc = run_module("expansion", "-i", str(ring), "--limit", "40")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --limit" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_expansion_certificate(tmp_path, capsys):
     edges = tmp_path / "k4.txt"
     g = Multigraph(4, np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]))

@@ -19,14 +19,16 @@ from perclab.pairing import (
     sample_configuration,
     sample_simple_regular,
 )
+from perclab.percolation import DeletionParams, percolate
 from perclab.decomposition import (
+    CYCLE,
+    GIANT,
+    OTHER,
+    TREE,
     bushes,
     classify_components,
-    count_deg2_paths,
     decompose,
-    deg2_runs,
     kernel,
-    longest_deg2_run,
     two_core,
     two_core_bruteforce,
 )
@@ -276,24 +278,28 @@ def test_kernel_recovers_subdivided_graph(case):
 
 
 def test_runs_on_theta():
-    runs = deg2_runs(theta_122())
-    assert sorted(runs.chain_internal.tolist()) == [0, 1, 1]
-    assert runs.longest == 1
-    assert count_deg2_paths(theta_122(), 1) == (2, False)
-    assert count_deg2_paths(theta_122(), 2) == (0, False)
+    k = kernel(theta_122())
+    assert sorted(k.internal.tolist()) == [0, 1, 1]
+    assert k.longest_run == 1
+    assert k.runs_at_least(1) == 2
+    assert k.runs_at_least(2) == 0
+    with pytest.raises(ValueError):
+        k.runs_at_least(0)
 
 
 def test_runs_on_pure_cycle():
-    # a cycle of length L counts as a run of L-1, flagged as cyclic
-    runs = deg2_runs(cycle(6))
-    assert runs.longest == 5
-    assert count_deg2_paths(cycle(6), 2) == (1, True)
-    assert count_deg2_paths(cycle(6), 6) == (0, False)
+    # a cycle of length L counts as a run of L-1
+    k = kernel(cycle(6))
+    assert k.longest_run == 5
+    assert k.runs_at_least(2) == 1
+    assert k.runs_at_least(5) == 1
+    assert k.runs_at_least(6) == 0
 
 
 def test_runs_on_k4():
-    assert longest_deg2_run(k4()) == 0
-    assert count_deg2_paths(k4(), 1) == (0, False)
+    k = kernel(k4())
+    assert k.longest_run == 0
+    assert k.runs_at_least(1) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -302,22 +308,28 @@ def test_runs_on_k4():
 
 def test_bushes_of_triangle_with_tail():
     out = bushes(triangle_with_tail())
-    got = sorted((sorted(b.vertices.tolist()), b.root) for b in out)
-    # the tail hangs off core vertex 0; vertex 5 is a rootless singleton
-    assert got == [([0, 3, 4], 0), ([5], None)]
-    assert [b.size for b in out if b.root is not None] == [3]
+    # the tail hangs off core vertex 0; vertex 5 is a rootless singleton;
+    # core vertices 1 and 2 belong to no bush
+    assert out.labels.tolist() == [0, -1, -1, 0, 0, 1]
+    assert [v.tolist() for v in out.vertices()] == [[0, 3, 4], [5]]
+    assert out.roots.tolist() == [0, -1]
+    assert out.sizes[out.roots >= 0].tolist() == [3]
+    assert len(out) == 2 and out.max_size == 3
 
 
 def test_bare_core_has_no_bushes():
-    assert bushes(cycle(5)) == []
-    assert bushes(k4()) == []
+    for g in (cycle(5), k4()):
+        out = bushes(g)
+        assert len(out) == 0 and out.max_size == 0
+        assert out.vertices() == []
+        assert np.all(out.labels == -1) and out.labels.size == g.n
 
 
 def test_isolated_tree_is_a_rootless_bush():
     out = bushes(path(4))
     assert len(out) == 1
-    assert out[0].root is None
-    assert sorted(out[0].vertices.tolist()) == [0, 1, 2, 3]
+    assert out.roots.tolist() == [-1]
+    assert [v.tolist() for v in out.vertices()] == [[0, 1, 2, 3]]
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +348,7 @@ def test_classify_mixed():
     g = Multigraph(15, np.array(edges))
     rep = classify_components(g, K=3)
     assert rep.n_components == 5
+    assert rep.kinds.tolist() == [GIANT, OTHER, CYCLE, TREE, TREE]
     assert rep.giant_size == 5
     assert not rep.connected
     assert rep.isolated_cycle_count == 1
@@ -403,6 +416,69 @@ def test_prufer_trees_have_many_low_degree_vertices():
 
 
 # ---------------------------------------------------------------------------
+# networkx oracle on percolated pairings
+
+
+def test_components_and_bushes_match_networkx():
+    nx = pytest.importorskip("networkx")
+    seen = {"tree": 0, "rooted bush": 0, "free tree": 0}
+    for seed, (n, alpha) in enumerate([(2000, 0.18), (2500, 0.22), (3000, 0.25), (3000, 0.3)]):
+        cfg = sample_configuration(DegreeSequence.regular(n, 3), seed=seed)
+        g = project(percolate(cfg, DeletionParams(n, alpha=alpha, seed=seed)).survivor)
+        G = nx.MultiGraph()
+        G.add_nodes_from(range(g.n))
+        G.add_edges_from(g.edges.tolist())
+        assert G.number_of_edges() == g.m  # loops and parallel edges kept
+
+        rep = classify_components(g)
+        ref = [sorted(c) for c in nx.connected_components(G)]
+        assert rep.n_components == len(ref)
+        assert len({int(rep.labels[c[0]]) for c in ref}) == len(ref)
+        giant = max(ref, key=lambda c: (len(c), -c[0]))
+        assert rep.giant_label == rep.labels[giant[0]] and rep.giant_size == len(giant)
+        expect = {TREE: [], CYCLE: [], OTHER: []}
+        for c in ref:
+            label = int(rep.labels[c[0]])
+            assert np.all(rep.labels[c] == label) and rep.sizes[label] == len(c)
+            if c is giant:
+                assert rep.kinds[label] == GIANT
+                continue
+            edges = G.subgraph(c).number_of_edges()
+            if edges == len(c) - 1:
+                kind = TREE
+            elif edges == len(c) and all(G.degree(v) == 2 for v in c):
+                kind = CYCLE
+            else:
+                kind = OTHER
+            assert rep.kinds[label] == kind
+            expect[kind].append(c)
+        assert [c.tolist() for c in rep.tree_comps] == sorted(expect[TREE])
+        assert [c.tolist() for c in rep.cycle_comps] == sorted(expect[CYCLE])
+        assert [c.tolist() for c in rep.other_comps] == sorted(expect[OTHER])
+        seen["tree"] += len(expect[TREE])
+
+        # bushes: components of the graph minus the core's edges, less the
+        # core vertices that no other edge touches
+        core = two_core(g)
+        out = bushes(g, core)
+        H = nx.MultiGraph()
+        H.add_nodes_from(range(g.n))
+        H.add_edges_from(g.edges[~core.edge_mask].tolist())
+        ref_bushes = {}
+        for c in nx.connected_components(H):
+            c = sorted(c)
+            on_core = [v for v in c if core.alive[v]]
+            assert len(on_core) <= 1
+            if len(c) > 1 or not on_core:
+                ref_bushes[tuple(c)] = on_core[0] if on_core else -1
+        got = {tuple(v.tolist()): int(r) for v, r in zip(out.vertices(), out.roots)}
+        assert got == ref_bushes
+        seen["rooted bush"] += int(np.count_nonzero(out.roots >= 0))
+        seen["free tree"] += int(np.count_nonzero(out.roots < 0))
+    assert all(seen.values()), seen
+
+
+# ---------------------------------------------------------------------------
 # full decomposition
 
 
@@ -463,16 +539,20 @@ def test_core_minimum_degree(g):
 def test_bush_partition(g):
     core = two_core(g)
     out = bushes(g, core)
-    roots = [b.root for b in out if b.root is not None]
-    assert len(roots) == len(set(roots))
+    roots = out.roots[out.roots >= 0]
+    assert len(roots) == len(set(roots.tolist()))
+    assert np.all(core.alive[roots])
+    members = out.vertices()
+    assert [v.size for v in members] == out.sizes.tolist()
     non_root = []
-    for b in out:
-        non_root.extend(v for v in b.vertices.tolist() if v != b.root)
+    for b, (v, r) in enumerate(zip(members, out.roots)):
+        assert np.all(out.labels[v] == b)
+        non_root.extend(x for x in v.tolist() if x != r)
     # bushes minus their roots are exactly the peeled vertices
     assert sorted(non_root) == np.flatnonzero(~core.alive).tolist()
-    for b in out:
-        if b.root is not None:
-            assert core.alive[b.root]
+    # every vertex outside the bushes is a core vertex
+    assert np.all(core.alive[out.labels < 0])
+    assert np.count_nonzero(out.labels >= 0) == out.sizes.sum()
 
 
 @given(random_multigraph())

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from perclab.pairing import DegreeSequence, Multigraph, sample_configuration, project
-from perclab.decomposition import two_core, longest_deg2_run
+from perclab.decomposition import kernel, two_core
 from perclab.expansion import (
     DENSE_EIG_LIMIT,
     certify,
@@ -170,7 +170,7 @@ def test_path_upper_bound_values():
 def test_path_upper_bound_holds_on_cycles():
     for L in (4, 5, 6, 9, 12):
         g = cycle(L)
-        run = longest_deg2_run(g)
+        run = kernel(g).longest_run
         assert run == L - 1
         bound = path_upper_bound(run, n=L)
         assert exact_vertex_expansion(g).value <= bound + 1e-9
@@ -282,7 +282,7 @@ def test_certify_small_graph():
 
 def test_certify_with_run_information():
     g = cycle(8)
-    cert = certify(g, longest_run=longest_deg2_run(g))
+    cert = certify(g, longest_run=kernel(g).longest_run)
     assert cert.upper_bound == pytest.approx(2 / 4)  # min(k-1, n//2) = 4
     assert cert.upper_source == "degree-2 run"
     assert cert.exact_beta == pytest.approx(0.5)
@@ -301,7 +301,7 @@ def test_certificate_dict_is_json_friendly():
 
 def test_certify_beyond_exhaustive_limit():
     g = cycle(30)
-    cert = certify(g, exhaustive_limit=20, longest_run=longest_deg2_run(g))
+    cert = certify(g, limit=20, longest_run=kernel(g).longest_run)
     assert cert.exact_beta is None
     assert cert.lower_bound > 0
     assert cert.upper_bound == pytest.approx(2 / 15)

@@ -2,6 +2,7 @@
 config-file round trips, and the pairing uniformity checks.
 """
 
+import csv
 import io
 import json
 
@@ -15,7 +16,6 @@ from perclab.harness import (
     format_config,
     parse_config_text,
     read_config,
-    read_csv,
     run_experiment,
     run_trial,
     uniformity_suite,
@@ -71,6 +71,9 @@ def test_config_text_comments_and_errors():
     assert cfg.n == 100 and cfg.d == 3
     with pytest.raises(ValueError):
         parse_config_text(text + "bogus_key = 1\n")
+    # the exact-search cap is fixed at expansion.EXHAUSTIVE_LIMIT
+    with pytest.raises(ValueError, match="unknown key 'exhaustive_limit'"):
+        parse_config_text(text + "exhaustive_limit = 40\n")
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +196,13 @@ def test_csv_roundtrip():
     header = buf.readline().strip().split(",")
     assert header == csv_columns(4)
     buf.seek(0)
-    rows = read_csv(buf)
+    rows = list(csv.DictReader(buf))
     assert len(rows) == 3
     for rec, row in zip(rep.records, rows):
-        assert row["seed"] == rec.seed
-        assert row["r"] == rec.r
-        assert row["giant_size"] == rec.giant_size
-        assert row["N_2"] == rec.census[2]
+        assert int(row["seed"]) == rec.seed
+        assert int(row["r"]) == rec.r
+        assert int(row["giant_size"]) == rec.giant_size
+        assert int(row["N_2"]) == rec.census[2]
 
 
 def test_csv_header_only_when_no_trials(tmp_path):
@@ -215,8 +218,9 @@ def test_csv_file_roundtrip(tmp_path):
     rep = run_experiment(small_config(trials=2))
     path = tmp_path / "trials.csv"
     write_csv(rep, path)
-    rows = read_csv(path)
-    assert [row["seed"] for row in rows] == [7, 8]
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["seed"]) for row in rows] == [7, 8]
 
 
 # ---------------------------------------------------------------------------

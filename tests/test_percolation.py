@@ -22,7 +22,6 @@ from perclab.percolation import (
     DeletionParams,
     apply_deletion,
     choose_deletion_set,
-    degree_census,
     format_outcome,
     parse_outcome,
     percolate,
@@ -30,7 +29,6 @@ from perclab.percolation import (
     reinstate,
     write_outcome,
 )
-from perclab.theory import ModelParams, mu_all
 
 
 def triangle_config() -> Configuration:
@@ -111,16 +109,6 @@ def test_percolate_is_deterministic():
     b = percolate(cfg, DeletionParams(n=50, p=0.3, seed=9))
     assert np.array_equal(a.deleted, b.deleted)
     assert a.survivor == b.survivor
-
-
-def test_degree_census_with_predictions():
-    cfg = sample_configuration(DegreeSequence.regular(100, 4), seed=0)
-    out = percolate(cfg, DeletionParams(n=100, alpha=0.5, seed=3))
-    census, mus = degree_census(out, alpha=0.5)
-    assert np.array_equal(census, out.census)
-    assert mus == pytest.approx(mu_all(ModelParams(n=100, d=4, alpha=0.5)))
-    census2, nothing = degree_census(out)
-    assert nothing is None
 
 
 # ---------------------------------------------------------------------------

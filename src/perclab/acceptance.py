@@ -202,7 +202,7 @@ def crit_02_pair_probability(ctx) -> CriterionResult:
     hits = 0
     for _ in range(samples):
         c = sample_configuration(seq, rng)
-        hits += int(c.mate[0] == 1)
+        hits += int(c.pairs[0, 1] == 1)
     freq = hits / samples
     target = 1.0 / 11.0
     sigma = math.sqrt(target * (1 - target) / samples)

@@ -15,7 +15,7 @@ import sys
 from perclab import theory
 from perclab.acceptance import run_criteria
 from perclab.decomposition import decompose, kernel, two_core
-from perclab.expansion import EXHAUSTIVE_LIMIT, certify
+from perclab.expansion import certify
 from perclab.harness import (
     ExperimentConfig,
     read_config,
@@ -30,7 +30,6 @@ from perclab.pairing import (
     project,
     sample_configuration,
     sample_simple_regular,
-    write_configuration,
     DegreeSequence,
     format_configuration,
 )
@@ -90,20 +89,19 @@ def cmd_percolate(args) -> int:
 
 def cmd_analyze(args) -> int:
     g = _graph_from_text(_read_input_text(args.input))
-    dec = decompose(g, args.K)
+    dec = decompose(g)
     _write_output(json.dumps(dec.report(), indent=1, sort_keys=True) + "\n", args.output)
     return 0
 
 
 def cmd_expansion(args) -> int:
     g = _graph_from_text(_read_input_text(args.input))
-    limit = 0 if args.bounds else EXHAUSTIVE_LIMIT
     run = None
     core = two_core(g)
     if core.size:
         core_g, _ = core.subgraph()
         run = kernel(core_g).longest_run
-    cert = certify(g, limit=limit, longest_run=run, seed=args.seed)
+    cert = certify(g, exact=not args.bounds, longest_run=run, seed=args.seed)
     _write_output(json.dumps(cert.to_dict(), indent=1, sort_keys=True) + "\n", args.output)
     return 0
 
@@ -184,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="2-core, kernel, bushes, components")
     p.add_argument("-i", "--input", required=True)
-    p.add_argument("--K", type=int, default=None, help="tree/bush size cutoff")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_analyze)
 

@@ -314,7 +314,6 @@ class ComponentReport:
     kinds: np.ndarray
     giant_label: int | None
     giant_size: int
-    K: int | None = None
 
     @property
     def connected(self) -> bool:
@@ -347,18 +346,8 @@ class ComponentReport:
     def other_count(self) -> int:
         return int(np.count_nonzero(self.kinds == OTHER))
 
-    @property
-    def all_trees_within_K(self) -> bool | None:
-        if self.K is None:
-            return None
-        return (
-            self.max_isolated_tree_size <= self.K
-            and self.isolated_cycle_count == 0
-            and self.other_count == 0
-        )
 
-
-def classify_components(g: Multigraph, K: int | None = None) -> ComponentReport:
+def classify_components(g: Multigraph) -> ComponentReport:
     """Split off the giant component and classify the rest.
 
     Ties for the largest component go to the one containing the smallest
@@ -385,7 +374,6 @@ def classify_components(g: Multigraph, K: int | None = None) -> ComponentReport:
         kinds=kinds,
         giant_label=giant_label,
         giant_size=giant_size,
-        K=K,
     )
 
 
@@ -397,12 +385,10 @@ def classify_components(g: Multigraph, K: int | None = None) -> ComponentReport:
 class Decomposition:
     graph: Multigraph
     core: TwoCore
-    core_graph: Multigraph
     core_labels: np.ndarray
     kernel: Kernel
     bushes: Bushes
     components: ComponentReport
-    K: int | None = None
 
     @property
     def two_core_size(self) -> int:
@@ -450,16 +436,14 @@ class Decomposition:
         }
 
 
-def decompose(g: Multigraph, K: int | None = None) -> Decomposition:
+def decompose(g: Multigraph) -> Decomposition:
     core = two_core(g)
     core_g, core_labels = core.subgraph()
     return Decomposition(
         graph=g,
         core=core,
-        core_graph=core_g,
         core_labels=core_labels,
         kernel=kernel(core_g),
         bushes=bushes(g, core),
-        components=classify_components(g, K),
-        K=K,
+        components=classify_components(g),
     )

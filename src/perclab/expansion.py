@@ -89,9 +89,14 @@ def _best_ratio(num: np.ndarray, den: np.ndarray, masks: np.ndarray) -> tuple:
     return bn, bd, _lex_least(ties)
 
 
-def exact_vertex_expansion(
-    g: Multigraph, limit: int = EXHAUSTIVE_LIMIT
-) -> ExactExpansion:
+def _check_exhaustive_size(n: int) -> None:
+    if n > EXHAUSTIVE_LIMIT:
+        raise ValueError(
+            f"exact search is capped at {EXHAUSTIVE_LIMIT} vertices (got {n}); use bounds"
+        )
+
+
+def exact_vertex_expansion(g: Multigraph) -> ExactExpansion:
     """min |N(S) \\ S| / |S| over nonempty S with |S| <= n/2, exactly.
 
     Loops and edge multiplicities are irrelevant here; only the distinct
@@ -99,10 +104,7 @@ def exact_vertex_expansion(
     a single vertex have no admissible S; the min over nothing is +inf.
     """
     n = g.n
-    if n > limit:
-        raise ValueError(
-            f"exact search is capped at {limit} vertices (got {n}); use bounds"
-        )
+    _check_exhaustive_size(n)
     if n // 2 == 0:
         return ExactExpansion(math.inf, None, None, None)
     masks, sizes, nbrs = _subset_tables(n, _neighbor_bits(g))
@@ -112,9 +114,7 @@ def exact_vertex_expansion(
     return ExactExpansion(bn / bd, witness, bn, bd)
 
 
-def exact_edge_expansion(
-    g: Multigraph, limit: int = EXHAUSTIVE_LIMIT
-) -> ExactExpansion:
+def exact_edge_expansion(g: Multigraph) -> ExactExpansion:
     """min e(S, V-S) / d(S) over S with 0 < d(S) <= |E|, exactly.
 
     d(S) sums degrees (loops count 2); e(S, V-S) counts cut edges with
@@ -123,10 +123,7 @@ def exact_edge_expansion(
     min is +inf.
     """
     n = g.n
-    if n > limit:
-        raise ValueError(
-            f"exact search is capped at {limit} vertices (got {n}); use bounds"
-        )
+    _check_exhaustive_size(n)
     if n == 0:
         return ExactExpansion(math.inf, None, None, None)
     masks = np.arange(1, 1 << n, dtype=np.int64)
@@ -421,12 +418,12 @@ class ExpansionCertificate:
 
 def certify(
     g: Multigraph,
-    limit: int = EXHAUSTIVE_LIMIT,
+    exact: bool = True,
     longest_run: int | None = None,
     seed=0,
-    with_diameter: bool | None = None,
 ) -> ExpansionCertificate:
-    """Exact expansion when the graph is small enough, bounds otherwise."""
+    """Bounds, plus exact expansion and a diameter check when ``exact`` is
+    set and the graph has at most EXHAUSTIVE_LIMIT vertices."""
     spect = spectral_lower_bound(g, seed=seed)
     cert = ExpansionCertificate(
         n=g.n,
@@ -441,16 +438,14 @@ def certify(
         if ub is not None:
             cert.upper_bound = ub
             cert.upper_source = "degree-2 run"
-    if g.n <= limit:
-        ev = exact_vertex_expansion(g, limit)
-        ee = exact_edge_expansion(g, limit)
+    if exact and g.n <= EXHAUSTIVE_LIMIT:
+        ev = exact_vertex_expansion(g)
+        ee = exact_edge_expansion(g)
         cert.exact_beta = ev.value
         cert.witness = ev.witness
         cert.exact_gamma = ee.value
         cert.gamma_witness = ee.witness
-        if with_diameter is None:
-            with_diameter = True
-        if with_diameter and spect.connected and 0 < ev.value < math.inf:
+        if spect.connected and 0 < ev.value < math.inf:
             dc = diameter_check(g, ev.value)
             cert.diameter = dc.diameter
             cert.diameter_bound = dc.bound

@@ -151,8 +151,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     outcome = apply_deletion(cfg, choose_deletion_set(params))
     graph = project(outcome.survivor)
 
-    K = config.K_effective
-    dec = decompose(graph, K)
+    dec = decompose(graph)
     comp = dec.components
 
     mu = None
@@ -487,7 +486,7 @@ def uniformity_suite(
         counts: dict = {}
         for _ in range(matching_samples):
             c = sample_configuration(seq, rng)
-            k = matching_key(c.mate)
+            k = matching_key(c.pairs)
             counts[k] = counts.get(k, 0) + 1
         n_matchings = double_factorial_odd(seq.m)
         observed = np.zeros(n_matchings)
@@ -514,7 +513,7 @@ def uniformity_suite(
         params = DeletionParams(4, p=0.5, seed=rng)
         out = apply_deletion(c, choose_deletion_set(params))
         gkey = tuple(int(x) for x in out.survivor.seq.degrees)
-        mkey = matching_key(out.survivor.mate)
+        mkey = matching_key(out.survivor.pairs)
         groups.setdefault(gkey, {})
         groups[gkey][mkey] = groups[gkey].get(mkey, 0) + 1
 

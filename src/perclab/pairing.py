@@ -93,23 +93,29 @@ class DegreeSequence:
 class Configuration:
     """A degree sequence plus a perfect matching of its points.
 
-    ``mate`` is an involution on global point ids with no fixed point:
-    mate[mate[i]] == i and mate[i] != i.
+    ``pairs`` is an (m, 2) array of global point ids in canonical form:
+    u < v in each row, rows in increasing u, and every point in exactly
+    one row.
     """
 
     seq: DegreeSequence
-    mate: np.ndarray
+    pairs: np.ndarray
 
     def __post_init__(self):
-        mate = np.asarray(self.mate, dtype=np.int64)
-        object.__setattr__(self, "mate", mate)
-        t = self.seq.total_points
-        if mate.shape != (t,):
-            raise ValueError(f"mate array has shape {mate.shape}, expected ({t},)")
-        if t:
-            idx = np.arange(t)
-            if np.any(mate[mate] != idx) or np.any(mate == idx):
-                raise ValueError("mate is not a fixed-point-free involution")
+        pairs = np.asarray(self.pairs, dtype=np.int64)
+        object.__setattr__(self, "pairs", pairs)
+        m, t = self.seq.m, self.seq.total_points
+        if pairs.shape != (m, 2):
+            raise ValueError(f"pairs array has shape {pairs.shape}, expected ({m}, 2)")
+        if m == 0:
+            return
+        if pairs.min() < 0 or pairs.max() >= t:
+            raise ValueError(f"point id out of range 0..{t - 1}")
+        u, v = pairs[:, 0], pairs[:, 1]
+        if np.any(u >= v) or np.any(u[1:] <= u[:-1]):
+            raise ValueError("pairs are not in canonical order (u < v, rows by increasing u)")
+        if np.any(np.bincount(pairs.ravel(), minlength=t) != 1):
+            raise ValueError("a point is matched more than once")
 
     @property
     def n(self) -> int:
@@ -119,16 +125,10 @@ class Configuration:
     def m(self) -> int:
         return self.seq.m
 
-    def pairs(self) -> np.ndarray:
-        """(m, 2) array of global point ids, u < mate(u), sorted by u."""
-        idx = np.arange(self.seq.total_points, dtype=np.int64)
-        first = idx < self.mate
-        return np.column_stack([idx[first], self.mate[first]])
-
     def __eq__(self, other):
         if not isinstance(other, Configuration):
             return NotImplemented
-        return self.seq == other.seq and np.array_equal(self.mate, other.mate)
+        return self.seq == other.seq and np.array_equal(self.pairs, other.pairs)
 
 
 @dataclass(eq=False)
@@ -152,11 +152,6 @@ class Multigraph:
         if e.size and (e.min() < 0 or e.max() >= self.n):
             raise ValueError("edge endpoint out of range")
         self.edges = e
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Multigraph":
-        arr = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
-        return cls(n, arr)
 
     @property
     def m(self) -> int:
@@ -262,17 +257,17 @@ def sample_configuration(seq: DegreeSequence, seed=None) -> Configuration:
     """
     rng = np.random.default_rng(seed)
     perm = rng.permutation(seq.total_points)
-    mate = np.empty(seq.total_points, dtype=np.int64)
-    mate[perm[0::2]] = perm[1::2]
-    mate[perm[1::2]] = perm[0::2]
-    return Configuration(seq, mate)
+    # file each pair under its smaller point; partner is nonzero exactly
+    # there, since a larger point is at least 1
+    partner = np.zeros(seq.total_points, dtype=np.int64)
+    partner[np.minimum(perm[0::2], perm[1::2])] = np.maximum(perm[0::2], perm[1::2])
+    first = np.flatnonzero(partner)
+    return Configuration(seq, np.column_stack([first, partner[first]]))
 
 
 def project(config: Configuration) -> Multigraph:
     """Collapse buckets to vertices; keeps multiplicities and loops."""
-    bop = config.seq.bucket_of_point
-    pairs = config.pairs()
-    return Multigraph(config.n, bop[pairs])
+    return Multigraph(config.n, config.seq.bucket_of_point[config.pairs])
 
 
 def sample_simple_regular(
@@ -314,12 +309,11 @@ def pair_probability(m: int, k: int) -> float:
     return out
 
 
-def matching_key(mate: np.ndarray) -> tuple:
-    """Canonical hashable form: pairs (u, v) with u < v, sorted by u."""
-    mate = np.asarray(mate)
-    idx = np.arange(mate.size)
-    first = idx < mate
-    return tuple(zip(idx[first].tolist(), mate[first].tolist()))
+def matching_key(pairs: np.ndarray) -> tuple:
+    """Hashable form of canonical pairs, comparable with
+    enumerate_matchings' keys."""
+    return tuple(map(tuple, np.asarray(pairs).tolist()))
+
 
 def enumerate_matchings(total_points: int) -> list[tuple]:
     """All (2m-1)!! perfect matchings of 0..total_points-1, canonical keys."""
@@ -362,7 +356,7 @@ def format_configuration(config: Configuration) -> str:
     lines = [" ".join(["%d" % seq.n] + ["%d" % d for d in seq.degrees])]
     bop = seq.bucket_of_point
     off = seq.offsets
-    for u, v in config.pairs():
+    for u, v in config.pairs:
         bu, bv = bop[u], bop[v]
         lines.append(
             "%d %d %d %d" % (bu + 1, u - off[bu] + 1, bv + 1, v - off[bv] + 1)
@@ -381,7 +375,8 @@ def parse_configuration(text: str) -> Configuration:
     if degrees.size != n:
         raise ValueError(f"header says n={n} but lists {degrees.size} degrees")
     seq = DegreeSequence(degrees)
-    mate = np.full(seq.total_points, -1, dtype=np.int64)
+    used = np.zeros(seq.total_points, dtype=bool)
+    pairs = []
     body = lines[1:]
     if len(body) != seq.m:
         raise ValueError(f"expected {seq.m} pair lines, got {len(body)}")
@@ -393,19 +388,11 @@ def parse_configuration(text: str) -> Configuration:
             raise ValueError(f"point out of bucket range: {ln!r}")
         u = seq.offsets[b1 - 1] + (p1 - 1)
         v = seq.offsets[b2 - 1] + (p2 - 1)
-        if mate[u] != -1 or mate[v] != -1 or u == v:
+        if used[u] or used[v] or u == v:
             raise ValueError(f"point matched twice: {ln!r}")
-        mate[u] = v
-        mate[v] = u
-    return Configuration(seq, mate)
-
-
-def write_configuration(config: Configuration, path_or_file) -> None:
-    _write_text(path_or_file, format_configuration(config))
-
-
-def read_configuration(path_or_file) -> Configuration:
-    return parse_configuration(_read_text(path_or_file))
+        used[u] = used[v] = True
+        pairs.append((u, v))
+    return Configuration(seq, canonical_edges(np.array(pairs, dtype=np.int64)))
 
 
 def format_multigraph(g: Multigraph) -> str:
@@ -423,19 +410,4 @@ def parse_multigraph(text: str) -> Multigraph:
     for ln in lines[1:]:
         u, v = (int(x) for x in ln.split())
         edges.append((u - 1, v - 1))
-    return Multigraph.from_edges(n, edges)
-
-
-def _write_text(path_or_file, text: str) -> None:
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        with open(path_or_file, "w") as fh:
-            fh.write(text)
-
-
-def _read_text(path_or_file) -> str:
-    if hasattr(path_or_file, "read"):
-        return path_or_file.read()
-    with open(path_or_file) as fh:
-        return fh.read()
+    return Multigraph(n, edges)

@@ -15,8 +15,6 @@ import numpy as np
 from perclab.pairing import (
     Configuration,
     DegreeSequence,
-    _read_text,
-    _write_text,
     format_configuration,
     parse_configuration,
 )
@@ -97,9 +95,12 @@ def apply_deletion(config: Configuration, deleted) -> PercolationOutcome:
     dead_bucket[deleted] = True
     bop = seq.bucket_of_point
 
-    # a point survives iff its bucket and its partner's bucket both survive
+    # a pair survives iff both its buckets survive
     dead_point = dead_bucket[bop]
-    keep_point = ~(dead_point | dead_point[config.mate])
+    pairs = config.pairs
+    kept = pairs[~(dead_point[pairs[:, 0]] | dead_point[pairs[:, 1]])]
+    keep_point = np.zeros(seq.total_points, dtype=bool)
+    keep_point[kept] = True
 
     keep_bucket = ~dead_bucket
     bucket_map = np.flatnonzero(keep_bucket)
@@ -111,12 +112,9 @@ def apply_deletion(config: Configuration, deleted) -> PercolationOutcome:
     d_max = int(seq.degrees.max()) if seq.n else 0
     census = np.bincount(new_degrees, minlength=d_max + 1).astype(np.int64)
 
-    # compact point ids, preserving order, and rewrite the involution
-    point_map = np.flatnonzero(keep_point)
+    # relabel points in order, which keeps the pairs canonical
     new_id = np.cumsum(keep_point) - 1
-    new_mate = new_id[config.mate[point_map]]
-
-    survivor = Configuration(DegreeSequence(new_degrees), new_mate)
+    survivor = Configuration(DegreeSequence(new_degrees), new_id[kept])
     return PercolationOutcome(
         original_n=n,
         deleted=deleted,
@@ -208,11 +206,3 @@ def parse_outcome(text: str) -> PercolationOutcome:
         census=census,
         bucket_map=np.flatnonzero(keep),
     )
-
-
-def write_outcome(outcome: PercolationOutcome, path_or_file) -> None:
-    _write_text(path_or_file, format_outcome(outcome))
-
-
-def read_outcome(path_or_file) -> PercolationOutcome:
-    return parse_outcome(_read_text(path_or_file))

@@ -3,6 +3,7 @@ one through ``python -m perclab`` in a subprocess."""
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,13 +12,8 @@ import numpy as np
 import pytest
 
 import perclab
-from perclab.cli import main
-from perclab.pairing import (
-    Multigraph,
-    format_multigraph,
-    parse_configuration,
-    read_configuration,
-)
+from perclab.cli import build_parser, main
+from perclab.pairing import Multigraph, format_multigraph, parse_configuration
 from perclab.percolation import parse_outcome
 
 
@@ -33,7 +29,7 @@ def test_sample_writes_configuration(tmp_path, capsys):
         capsys, "sample", "--n", "10", "--d", "3", "--seed", "4", "-o", str(out)
     )
     assert code == 0
-    cfg = read_configuration(out)
+    cfg = parse_configuration(out.read_text())
     assert cfg.seq.n == 10
     assert np.array_equal(cfg.seq.degrees, np.full(10, 3))
 
@@ -88,7 +84,7 @@ def test_analyze_accepts_outcome_and_edge_list(tmp_path, capsys):
     run_cli(capsys, "sample", "--n", "40", "--d", "4", "--seed", "3", "-o", str(conf))
     run_cli(capsys, "percolate", "-i", str(conf), "--alpha", "0.4", "--seed", "5",
             "-o", str(outc))
-    code, stdout, _ = run_cli(capsys, "analyze", "-i", str(outc), "--K", "3")
+    code, stdout, _ = run_cli(capsys, "analyze", "-i", str(outc))
     assert code == 0
     rep = json.loads(stdout)
     assert rep["n"] + len(parse_outcome(outc.read_text()).deleted) == 40
@@ -142,6 +138,19 @@ def test_module_entry_rejects_inconsistent_outcome(tmp_path, trailer):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "text", ["1 2\n1 1 1 1\n", "2 2 2\n1 1 2 1\n1 1 2 2\n"]
+)
+def test_module_entry_rejects_point_matched_twice(tmp_path, text):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    proc = run_module("analyze", "-i", str(bad))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "matched twice" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("command", ["analyze", "expansion"])
 def test_module_entry_rejects_negative_vertex_count(tmp_path, command):
     bad = tmp_path / "bad.txt"
@@ -161,6 +170,30 @@ def test_expansion_has_no_limit_option(tmp_path):
     assert proc.returncode == 2
     assert "unrecognized arguments: --limit" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_analyze_has_no_K_option(tmp_path):
+    # the report never depended on K
+    ring = tmp_path / "ring.txt"
+    ring.write_text(format_multigraph(Multigraph(3, np.array([[0, 1], [1, 2], [2, 0]]))))
+    proc = run_module("analyze", "-i", str(ring), "--K", "3")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --K" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_readme_commands_parse():
+    # every perclab line of the first code block under "## Command line"
+    readme = Path(perclab.__file__).resolve().parents[2] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [ln for ln in block.splitlines() if ln.startswith("perclab ")]
+    assert len(lines) >= 8
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_expansion_certificate(tmp_path, capsys):

@@ -346,7 +346,7 @@ def test_classify_mixed():
         [12, 13],
     ]
     g = Multigraph(15, np.array(edges))
-    rep = classify_components(g, K=3)
+    rep = classify_components(g)
     assert rep.n_components == 5
     assert rep.kinds.tolist() == [GIANT, OTHER, CYCLE, TREE, TREE]
     assert rep.giant_size == 5
@@ -377,12 +377,14 @@ def test_giant_tiebreak_is_first_vertex():
 def test_trees_within_K():
     # giant = 4-cycle; the only leftover is a 3-vertex tree
     g = Multigraph(7, np.array([[0, 1], [1, 2], [2, 3], [3, 0], [4, 5], [5, 6]]))
-    assert classify_components(g, K=3).all_trees_within_K
-    assert not classify_components(g, K=2).all_trees_within_K
-    assert classify_components(g).all_trees_within_K is None
-    # a stray cycle or denser component spoils the property at any K
+    rep = classify_components(g)
+    assert rep.max_isolated_tree_size == 3
+    assert rep.isolated_cycle_count == 0 and rep.other_count == 0
+    # a stray cycle is no tree, and the bare vertex 4 is a tree of size 1
     g2 = Multigraph(8, np.array([[0, 1], [1, 2], [2, 3], [3, 0], [5, 6], [6, 7], [7, 5]]))
-    assert not classify_components(g2, K=99).all_trees_within_K
+    rep2 = classify_components(g2)
+    assert rep2.max_isolated_tree_size == 1
+    assert rep2.isolated_cycle_count == 1 and rep2.other_count == 0
 
 
 def test_prufer_trees_have_many_low_degree_vertices():
@@ -483,7 +485,7 @@ def test_components_and_bushes_match_networkx():
 
 
 def test_decompose_triangle_with_tail():
-    dec = decompose(triangle_with_tail(), K=5)
+    dec = decompose(triangle_with_tail())
     assert dec.two_core_size == 3
     assert dec.kernel_size == 0
     assert dec.longest_deg2_run == 2  # the core is a 3-cycle: run 3-1

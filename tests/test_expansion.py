@@ -278,6 +278,9 @@ def test_certify_small_graph():
     assert cert.lower_source == "spectral"
     assert cert.upper_bound is None  # no degree-2 run information given
     assert cert.connected
+    bounds_only = certify(k4(), exact=False)
+    assert bounds_only.exact_beta is None and bounds_only.diameter is None
+    assert bounds_only.lower_bound == cert.lower_bound
 
 
 def test_certify_with_run_information():
@@ -292,7 +295,7 @@ def test_certify_with_run_information():
 def test_certificate_dict_is_json_friendly():
     import json
 
-    cert = certify(k4(), with_diameter=True)
+    cert = certify(k4())
     payload = cert.to_dict()
     json.dumps(payload)
     assert payload["witness"] == [1, 2]  # 1-based
@@ -301,10 +304,17 @@ def test_certificate_dict_is_json_friendly():
 
 def test_certify_beyond_exhaustive_limit():
     g = cycle(30)
-    cert = certify(g, limit=20, longest_run=kernel(g).longest_run)
+    cert = certify(g, longest_run=kernel(g).longest_run)
     assert cert.exact_beta is None
     assert cert.lower_bound > 0
     assert cert.upper_bound == pytest.approx(2 / 15)
+
+
+def test_exact_searches_refuse_more_than_twenty_vertices():
+    # 2^21 subsets would still fit in memory; the cap holds regardless
+    for search in (exact_vertex_expansion, exact_edge_expansion):
+        with pytest.raises(ValueError, match="capped at 20 vertices"):
+            search(cycle(21))
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,8 @@ from perclab.pairing import (
     parse_configuration,
     parse_multigraph,
     project,
-    read_configuration,
     sample_configuration,
     sample_simple_regular,
-    write_configuration,
 )
 
 
@@ -114,18 +112,35 @@ def test_single_bucket_unique_matching():
     # one bucket of degree 2 has exactly one matching: a loop
     seq = DegreeSequence(np.array([2]))
     cfg = sample_configuration(seq, seed=7)
-    assert np.array_equal(cfg.mate, [1, 0])
+    assert np.array_equal(cfg.pairs, [[0, 1]])
     g = project(cfg)
     assert g.n == 1 and g.m == 1
     assert np.array_equal(g.degree, [2])
 
 
-def test_mate_is_involution_and_fixed_point_free():
+def test_sampled_pairs_are_canonical():
     seq = DegreeSequence.regular(30, 3)
-    cfg = sample_configuration(seq, seed=3)
-    mate = cfg.mate
-    assert np.array_equal(mate[mate], np.arange(mate.size))
-    assert not np.any(mate == np.arange(mate.size))
+    pairs = sample_configuration(seq, seed=3).pairs
+    assert pairs.shape == (45, 2)
+    assert np.all(pairs[:, 0] < pairs[:, 1])
+    assert np.all(np.diff(pairs[:, 0]) > 0)
+    assert np.array_equal(np.sort(pairs.ravel()), np.arange(90))
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([1, 0, 3, 2, 5, 4], "shape"),  # a mate-style involution
+        ([[2, 3], [0, 1], [4, 5]], "canonical"),  # rows not by increasing u
+        ([[1, 0], [2, 3], [4, 5]], "canonical"),  # u > v within a row
+        ([[0, 1], [1, 2], [3, 4]], "more than once"),  # point 1 twice, 5 never
+        ([[0, 1], [2, 3], [4, 6]], "out of range"),
+        ([[-1, 0], [2, 3], [4, 5]], "out of range"),
+    ],
+)
+def test_configuration_rejects_noncanonical_pairs(pairs, message):
+    with pytest.raises(ValueError, match=message):
+        Configuration(DegreeSequence.regular(3, 2), np.array(pairs))
 
 
 def test_sampler_determinism_and_generator_passthrough():
@@ -133,8 +148,8 @@ def test_sampler_determinism_and_generator_passthrough():
     a = sample_configuration(seq, seed=11)
     b = sample_configuration(seq, seed=11)
     c = sample_configuration(seq, seed=np.random.default_rng(11))
-    assert np.array_equal(a.mate, b.mate)
-    assert np.array_equal(a.mate, c.mate)
+    assert np.array_equal(a.pairs, b.pairs)
+    assert np.array_equal(a.pairs, c.pairs)
 
 
 def test_sampler_hits_all_matchings_of_six_points():
@@ -146,7 +161,7 @@ def test_sampler_hits_all_matchings_of_six_points():
     counts: dict[tuple, int] = {}
     for _ in range(2000):
         cfg = sample_configuration(seq, rng)
-        key = matching_key(cfg.mate)
+        key = matching_key(cfg.pairs)
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 15
     expect = 2000 / 15
@@ -156,14 +171,14 @@ def test_sampler_hits_all_matchings_of_six_points():
 
 
 def test_specific_pair_frequency():
-    # P(point 0 mates with point 1) = 1/(2m-1) = 1/9 for 10 points
+    # P(point 0 pairs with point 1) = 1/(2m-1) = 1/9 for 10 points
     seq = DegreeSequence.regular(5, 2)
     rng = np.random.default_rng(123)
     n_draws = 4000
     hits = 0
     for _ in range(n_draws):
         cfg = sample_configuration(seq, rng)
-        hits += cfg.mate[0] == 1
+        hits += cfg.pairs[0, 1] == 1
     p = 1 / 9
     sigma = math.sqrt(p * (1 - p) / n_draws)
     assert abs(hits / n_draws - p) < 4 * sigma
@@ -173,7 +188,7 @@ def test_empty_pairing():
     for degs in ([], [0, 0, 0]):
         cfg = sample_configuration(DegreeSequence(np.array(degs, dtype=np.int64)), seed=1)
         assert cfg.m == 0
-        assert cfg.mate.shape == (0,)
+        assert cfg.pairs.shape == (0, 2)
         assert project(cfg).m == 0
 
 
@@ -185,8 +200,7 @@ def test_projection_loop_and_parallel():
     seq = DegreeSequence(np.array([3, 3]))
     # points 0,1,2 belong to bucket 0; 3,4,5 to bucket 1.
     # matching: loops (0,1) and (4,5), plus the cross edge (2,3).
-    mate = np.array([1, 0, 3, 2, 5, 4])
-    cfg = Configuration(seq, mate)
+    cfg = Configuration(seq, np.array([[0, 1], [2, 3], [4, 5]]))
     g = project(cfg)
     assert g.n == 2 and g.m == 3
     assert np.array_equal(canonical_edges(g.edges), [[0, 0], [0, 1], [1, 1]])
@@ -195,7 +209,7 @@ def test_projection_loop_and_parallel():
 
     # two buckets of degree 2 wired straight across: parallel edges
     seq2 = DegreeSequence(np.array([2, 2]))
-    cfg2 = Configuration(seq2, np.array([2, 3, 0, 1]))
+    cfg2 = Configuration(seq2, np.array([[0, 2], [1, 3]]))
     g2 = project(cfg2)
     assert np.array_equal(canonical_edges(g2.edges), [[0, 1], [0, 1]])
     assert not is_simple(g2)
@@ -302,7 +316,7 @@ def test_configuration_text_roundtrip(degs, seed):
 
 def test_configuration_format_is_one_based():
     seq = DegreeSequence(np.array([2]))
-    cfg = Configuration(seq, np.array([1, 0]))
+    cfg = Configuration(seq, np.array([[0, 1]]))
     text = format_configuration(cfg)
     lines = text.strip().splitlines()
     assert lines[0].split() == ["1", "2"]
@@ -318,17 +332,27 @@ def test_multigraph_text_roundtrip():
     assert lines[1].split() == ["1", "2"]  # edges 1-based, canonical order
 
 
-def test_configuration_file_roundtrip(tmp_path):
-    cfg = sample_configuration(DegreeSequence.regular(6, 3), seed=2)
-    path = tmp_path / "conf.txt"
-    write_configuration(cfg, path)
-    assert read_configuration(path) == cfg
-
-
 def test_parse_rejects_bucket_label_out_of_range():
     for line in ("3 1 1 1", "1 1 3 1", "0 1 1 1", "-1 1 1 1"):
         with pytest.raises(ValueError, match="bucket label"):
             parse_configuration("2 1 1\n" + line + "\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1 2\n1 1 1 1\n",  # a point paired with itself
+        "2 2 2\n1 1 2 1\n1 1 2 2\n",  # bucket 1's first point on two lines
+    ],
+)
+def test_parse_rejects_point_matched_twice(text):
+    with pytest.raises(ValueError, match="matched twice"):
+        parse_configuration(text)
+
+
+def test_parse_puts_pairs_in_canonical_order():
+    cfg = parse_configuration("3 2 2 2\n3 2 1 1\n2 2 1 2\n3 1 2 1\n")
+    assert np.array_equal(cfg.pairs, [[0, 5], [1, 3], [2, 4]])
 
 
 def test_parse_rejects_garbage():

@@ -6,6 +6,7 @@ survivor census is (N_0, N_1, N_2) = (0, 2, 0).
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from perclab.pairing import (
     Configuration,
     DegreeSequence,
+    enumerate_matchings,
     project,
     sample_configuration,
 )
@@ -25,17 +27,15 @@ from perclab.percolation import (
     format_outcome,
     parse_outcome,
     percolate,
-    read_outcome,
     reinstate,
-    write_outcome,
 )
 
 
 def triangle_config() -> Configuration:
     # buckets 0,1,2 of degree 2; points 0,1 | 2,3 | 4,5
-    # pairs (1,2), (3,4), (5,0) form the 3-cycle 0-1-2-0
+    # pairs (0,5), (1,2), (3,4) form the 3-cycle 0-1-2-0
     seq = DegreeSequence.regular(3, 2)
-    return Configuration(seq, np.array([5, 2, 1, 4, 3, 0]))
+    return Configuration(seq, np.array([[0, 5], [1, 2], [3, 4]]))
 
 
 def test_triangle_minus_middle_bucket():
@@ -51,6 +51,32 @@ def test_triangle_minus_middle_bucket():
     assert np.array_equal(g.edges, [[0, 1]])
     # bucket_map sends new labels back to original ones
     assert np.array_equal(out.bucket_map, [0, 2])
+
+
+def survivor_by_hand(degrees, pairs, deleted):
+    """(survivor degrees, survivor pairs) by plain loops: keep the pairs
+    whose two buckets live, renumber the points they use in order."""
+    bucket = [b for b, d in enumerate(degrees) for _ in range(d)]
+    kept = [(u, v) for u, v in pairs if bucket[u] not in deleted and bucket[v] not in deleted]
+    used = sorted(p for pair in kept for p in pair)
+    new = {p: i for i, p in enumerate(used)}
+    live = [b for b in range(len(degrees)) if b not in deleted]
+    return [sum(bucket[p] == b for p in used) for b in live], [[new[u], new[v]] for u, v in kept]
+
+
+@pytest.mark.parametrize("degrees", [[2, 2, 2], [1, 2, 3, 2], [3, 1, 0, 2, 2]])
+def test_deletion_matches_hand_relabelling_exhaustively(degrees):
+    # every pairing of the points and every deletion set of the buckets
+    seq = DegreeSequence(np.array(degrees))
+    n = len(degrees)
+    for key in enumerate_matchings(seq.total_points):
+        cfg = Configuration(seq, np.array(key).reshape(-1, 2))
+        for r in range(n + 1):
+            for deleted in combinations(range(n), r):
+                out = apply_deletion(cfg, np.array(deleted, dtype=np.int64))
+                want_degrees, want_pairs = survivor_by_hand(degrees, key, set(deleted))
+                assert out.survivor.seq.degrees.tolist() == want_degrees
+                assert out.survivor.pairs.tolist() == want_pairs
 
 
 def test_delete_nothing_is_identity():
@@ -215,18 +241,6 @@ def test_outcome_text_roundtrip(case):
     assert np.array_equal(back.census, out.census)
     assert back.survivor == out.survivor
     assert np.array_equal(back.bucket_map, out.bucket_map)
-
-
-def test_outcome_file_roundtrip(tmp_path):
-    out = apply_deletion(triangle_config(), np.array([1]))
-    path = tmp_path / "out.txt"
-    write_outcome(out, path)
-    text = path.read_text()
-    assert "deleted: 2" in text  # 1-based original label
-    assert "census: 0 2 0" in text
-    back = read_outcome(path)
-    assert np.array_equal(back.census, out.census)
-    assert back.survivor == out.survivor
 
 
 def triangle_outcome_text() -> str:

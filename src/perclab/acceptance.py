@@ -14,9 +14,11 @@ from __future__ import annotations
 import math
 import resource
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import chdtrc
 
 from perclab.decomposition import (
     classify_components,
@@ -32,17 +34,25 @@ from perclab.expansion import (
     reinstatement_expansion_check,
     spectral_lower_bound,
 )
-from perclab.harness import ExperimentConfig, run_trial, run_experiment, uniformity_suite
+from perclab.harness import ExperimentConfig, run_trial, run_experiment
 from perclab.pairing import (
     DegreeSequence,
     SamplingFailureError,
+    enumerate_matchings,
+    matching_key,
     project,
     sample_configuration,
     sample_simple_regular,
 )
-from perclab.percolation import DeletionParams, apply_deletion, choose_deletion_set
+from perclab.percolation import (
+    DeletionParams,
+    apply_deletion,
+    choose_deletion_set,
+    reinstate,
+)
 
 ACCEPT_SEED = 0
+UNIFORMITY_LEVEL = 1e-3  # a chi-square p-value must exceed this to pass
 
 
 @dataclass
@@ -172,13 +182,87 @@ class AcceptanceContext:
 
 
 # ---------------------------------------------------------------------------
+# sampler self-test
+#
+# Two chi-square checks with known ground truth: raw matching frequencies
+# against the uniform distribution over all (2m-1)!! pairings, and
+# post-deletion matchings, grouped by surviving degree sequence, against
+# uniformity over the matchings of the surviving points.  The second is
+# the distributional fact that makes two-round deletion legal.
+
+
+def _observed(counts: Counter, total_points: int) -> np.ndarray:
+    """Counts over every matching of total_points, in enumeration order."""
+    return np.array(
+        [counts[k] for k in enumerate_matchings(total_points)], dtype=float
+    )
+
+
+def _chisquare(obs: np.ndarray) -> tuple[float, float]:
+    """Pearson's statistic against equal expected counts and its upper-tail
+    p-value on obs.size - 1 degrees of freedom."""
+    e = obs.mean()
+    chi2 = ((obs - e) ** 2 / e).sum()
+    return float(chi2), float(chdtrc(obs.size - 1, chi2))
+
+
+def matching_uniformity(seed, samples: int) -> dict:
+    """Sampler frequencies over the 15 pairings of n=3 buckets of degree 2."""
+    rng = np.random.default_rng(seed)
+    seq = DegreeSequence.regular(3, 2)
+    counts = Counter(
+        matching_key(sample_configuration(seq, rng).pairs) for _ in range(samples)
+    )
+    obs = _observed(counts, seq.total_points)
+    chi2, pval = _chisquare(obs)
+    return {
+        "samples": samples,
+        "categories": obs.size,
+        "observed_categories": int(np.count_nonzero(obs)),
+        "chi2": chi2,
+        "pvalue": pval,
+        "passed": bool(pval > UNIFORMITY_LEVEL and np.all(obs > 0)),
+    }
+
+
+def conditional_uniformity(seed, samples: int) -> dict:
+    """Survivor matchings of n=4, d=2 at p=1/2, one chi-square per surviving
+    degree sequence with at least 5 samples per matching."""
+    rng = np.random.default_rng(seed)
+    seq = DegreeSequence.regular(4, 2)
+    groups: dict = {}
+    for _ in range(samples):
+        c = sample_configuration(seq, rng)
+        out = apply_deletion(c, choose_deletion_set(DeletionParams(4, p=0.5, seed=rng)))
+        degrees = tuple(int(x) for x in out.survivor.seq.degrees)
+        groups.setdefault(degrees, Counter())[matching_key(out.survivor.pairs)] += 1
+
+    cases = []
+    for degrees in sorted(groups):
+        obs = _observed(groups[degrees], sum(degrees))
+        total = int(obs.sum())
+        case = {"degrees": list(degrees), "samples": total, "categories": obs.size}
+        if obs.size == 1:
+            cases.append({**case, "chi2": 0.0, "pvalue": 1.0, "trivial": True})
+        elif total >= 5 * obs.size:
+            chi2, pval = _chisquare(obs)
+            cases.append({**case, "chi2": chi2, "pvalue": pval, "trivial": False})
+    pvals = [c["pvalue"] for c in cases if not c["trivial"]]
+    return {
+        "samples": samples,
+        "cases": cases,
+        "min_pvalue": min(pvals, default=1.0),
+        "passed": bool(pvals) and all(p > UNIFORMITY_LEVEL for p in pvals),
+    }
+
+
+# ---------------------------------------------------------------------------
 # the criteria
 
 
 def crit_01_sampler_uniformity(ctx) -> CriterionResult:
     t0 = time.perf_counter()
-    suite = uniformity_suite(ctx.seed, matching_samples=15_000, conditional_samples=0)
-    mt = suite["matching_test"]
+    mt = matching_uniformity(ctx.seed, 15_000)
     secs = time.perf_counter() - t0
     passed = mt["passed"] and secs < 5.0
     return CriterionResult(
@@ -187,7 +271,7 @@ def crit_01_sampler_uniformity(ctx) -> CriterionResult:
         passed,
         [
             f"chi2={mt['chi2']:.2f}",
-            f"p={mt['pvalue']:.4f} (need > 0.001)",
+            f"p={mt['pvalue']:.4f} (need > {UNIFORMITY_LEVEL:g})",
             f"{mt['observed_categories']}/15 categories seen",
         ],
         secs,
@@ -411,16 +495,15 @@ def crit_10_oracles(ctx) -> CriterionResult:
 
 def crit_11_conditional_uniformity(ctx) -> CriterionResult:
     t0 = time.perf_counter()
-    suite = uniformity_suite(ctx.seed, matching_samples=0, conditional_samples=100_000)
-    ct = suite["conditional_test"]
-    ncases = len([c for c in ct["cases"] if not c.get("trivial")])
+    ct = conditional_uniformity(ctx.seed, 100_000)
+    ncases = len([c for c in ct["cases"] if not c["trivial"]])
     return CriterionResult(
         11,
         "post-deletion pairing uniform per degree sequence (n=4, d=2, p=0.5)",
         ct["passed"],
         [
             f"{ncases} chi-square buckets",
-            f"min p={ct['min_pvalue']:.4f} (need > 0.001)",
+            f"min p={ct['min_pvalue']:.4f} (need > {UNIFORMITY_LEVEL:g})",
         ],
         time.perf_counter() - t0,
     )
@@ -432,6 +515,7 @@ def crit_12_reinstatement(ctx) -> CriterionResult:
     p_direct = float(n) ** -alpha
     p1 = float(n) ** -0.75
     q = float(n) ** (0.75 - alpha)
+    cfg = sample_configuration(DegreeSequence.regular(n, d), ctx.seed + 5)
     rng = np.random.default_rng(ctx.seed + 4)
 
     direct_hits = 0
@@ -440,8 +524,8 @@ def crit_12_reinstatement(ctx) -> CriterionResult:
         R = choose_deletion_set(DeletionParams(n, alpha=alpha, seed=rng))
         direct_hits += R.size
         R1 = choose_deletion_set(DeletionParams(n, p=p1, seed=rng))
-        stay = rng.random(R1.size) < q
-        twostage_hits += int(stay.sum())
+        final = reinstate(cfg, apply_deletion(cfg, R1), q=q, seed=rng)
+        twostage_hits += final.r
     total = n * trials
     sigma = math.sqrt(p_direct * (1 - p_direct) / total)
     f_direct = direct_hits / total

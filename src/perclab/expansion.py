@@ -11,7 +11,7 @@ bound read off a long degree-2 run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -388,32 +388,18 @@ class ExpansionCertificate:
     diameter_pass: bool | None = None
 
     def to_dict(self) -> dict:
+        """JSON-ready fields: NaN and inf become None, witnesses 1-based."""
+
         def _clean(x):
             if isinstance(x, float) and (math.isnan(x) or math.isinf(x)):
                 return None
             return x
 
-        return {
-            "n": self.n,
-            "max_degree": self.max_degree,
-            "connected": self.connected,
-            "exact_beta": _clean(self.exact_beta),
-            "witness": None if self.witness is None else [v + 1 for v in self.witness],
-            "exact_gamma": _clean(self.exact_gamma),
-            "gamma_witness": (
-                None
-                if self.gamma_witness is None
-                else [v + 1 for v in self.gamma_witness]
-            ),
-            "lower_bound": _clean(self.lower_bound),
-            "lower_source": self.lower_source,
-            "upper_bound": _clean(self.upper_bound),
-            "upper_source": self.upper_source,
-            "lambda2": _clean(self.lambda2),
-            "diameter": _clean(self.diameter),
-            "diameter_bound": _clean(self.diameter_bound),
-            "diameter_pass": self.diameter_pass,
-        }
+        out = {k: _clean(v) for k, v in asdict(self).items()}
+        for key in ("witness", "gamma_witness"):
+            if out[key] is not None:
+                out[key] = [v + 1 for v in out[key]]
+        return out
 
 
 def certify(

@@ -16,15 +16,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import stats
 
 from perclab import theory
 from perclab.decomposition import decompose
 from perclab.expansion import EXHAUSTIVE_LIMIT, certify, path_upper_bound, spectral_lower_bound
 from perclab.pairing import (
     DegreeSequence,
-    double_factorial_odd,
-    matching_key,
     project,
     sample_configuration,
     sample_simple_regular,
@@ -117,15 +114,6 @@ class TrialRecord:
     @property
     def n_survivors(self) -> int:
         return self.n - self.r
-
-    @property
-    def nongiant_isolated_only(self) -> bool:
-        """Everything outside the giant component is a bare vertex."""
-        return (
-            self.cycle_component_count == 0
-            and self.other_component_count == 0
-            and self.max_tree_size <= 1
-        )
 
     def nongiant_trees_within(self, K: int) -> bool:
         return (
@@ -293,7 +281,7 @@ def aggregate_records(records: list, K: int | None) -> dict:
         "fraction_connected": frac(r.connected for r in records),
         "fraction_core_cycle_free": frac(r.core_cycle_count == 0 for r in records),
         "fraction_nongiant_isolated_only": frac(
-            r.nongiant_isolated_only for r in records
+            r.nongiant_trees_within(1) for r in records
         ),
         "mean_longest_deg2_run": mean(r.longest_deg2_run for r in records),
         "mean_deg2_paths_ge2": mean(r.deg2_paths_ge2 for r in records),
@@ -334,26 +322,38 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
 # CSV interface
 
 
+# (column, TrialRecord field), one row per trial.  A column with {j} is
+# one column per degree j = 0..d, read from the field's tuple (blank when
+# the field is None); isolated_cycles counts pure-cycle components of the
+# 2-core, the quantity the cycle-freeness predictions speak about.
+_CSV_FIELDS = (
+    ("n", "n"),
+    ("d", "d"),
+    ("alpha", "alpha"),
+    ("seed", "seed"),
+    ("r", "r"),
+    ("N_{j}", "census"),
+    ("mu_{j}", "mu"),
+    ("giant_size", "giant_size"),
+    ("two_core_size", "two_core_size"),
+    ("longest_deg2_run", "longest_deg2_run"),
+    ("max_tree_size", "max_tree_size"),
+    ("isolated_cycles", "core_cycle_count"),
+    ("connected", "connected"),
+    ("beta_exact", "beta_exact"),
+    ("beta_lower", "beta_lower"),
+    ("beta_upper", "beta_upper"),
+    ("lambda2", "lambda2"),
+    ("diameter", "diameter"),
+    ("runtime_ms", "runtime_ms"),
+)
+
+
 def csv_columns(d: int) -> list[str]:
-    return (
-        ["n", "d", "alpha", "seed", "r"]
-        + [f"N_{j}" for j in range(d + 1)]
-        + [f"mu_{j}" for j in range(d + 1)]
-        + [
-            "giant_size",
-            "two_core_size",
-            "longest_deg2_run",
-            "max_tree_size",
-            "isolated_cycles",
-            "connected",
-            "beta_exact",
-            "beta_lower",
-            "beta_upper",
-            "lambda2",
-            "diameter",
-            "runtime_ms",
-        ]
-    )
+    cols = []
+    for col, _ in _CSV_FIELDS:
+        cols += [col.format(j=j) for j in range(d + 1)] if "{j}" in col else [col]
+    return cols
 
 
 def _cell(x) -> str:
@@ -369,35 +369,20 @@ def _cell(x) -> str:
 
 
 def write_csv(report: ExperimentReport, path_or_file) -> None:
-    """One row per trial; isolated_cycles counts pure-cycle components of
-    the 2-core (the quantity the cycle-freeness predictions speak about)."""
+    """One row per trial, columns as in csv_columns."""
     own = not hasattr(path_or_file, "write")
     fh = open(path_or_file, "w", newline="") if own else path_or_file
     try:
         writer = csv.writer(fh)
-        cols = csv_columns(report.config.d)
-        writer.writerow(cols)
+        writer.writerow(csv_columns(report.config.d))
         for r in report.records:
-            mu = r.mu if r.mu is not None else [None] * (r.d + 1)
-            row = (
-                [r.n, r.d, r.alpha, r.seed, r.r]
-                + list(r.census)
-                + list(mu)
-                + [
-                    r.giant_size,
-                    r.two_core_size,
-                    r.longest_deg2_run,
-                    r.max_tree_size,
-                    r.core_cycle_count,
-                    r.connected,
-                    r.beta_exact,
-                    r.beta_lower,
-                    r.beta_upper,
-                    r.lambda2,
-                    r.diameter,
-                    r.runtime_ms,
-                ]
-            )
+            row = []
+            for col, field in _CSV_FIELDS:
+                val = getattr(r, field)
+                if "{j}" not in col:
+                    row.append(val)
+                else:
+                    row += [None] * (r.d + 1) if val is None else list(val)
             writer.writerow([_cell(x) for x in row])
     finally:
         if own:
@@ -458,112 +443,3 @@ def format_config(config: ExperimentConfig) -> str:
 def read_config(path) -> ExperimentConfig:
     with open(path) as fh:
         return parse_config_text(fh.read())
-
-
-# ---------------------------------------------------------------------------
-# sampler uniformity suite
-#
-# Two statistical checks with known ground truth: (1) raw matching
-# frequencies against the uniform distribution over all (2m-1)!! pairings;
-# (2) post-deletion matchings, bucketed by surviving degree sequence,
-# against uniformity over the matchings of the surviving points.  The
-# second is the distributional fact that makes two-round deletion legal.
-
-
-def uniformity_suite(
-    seed: int = 0,
-    matching_samples: int = 15_000,
-    conditional_samples: int = 60_000,
-    alpha_level: float = 1e-3,
-) -> dict:
-    rng = np.random.default_rng(seed)
-    from perclab.pairing import enumerate_matchings
-
-    # raw uniformity: n=3 buckets of degree 2, 6 points, 15 matchings
-    matching_test = None
-    if matching_samples:
-        seq = DegreeSequence.regular(3, 2)
-        counts: dict = {}
-        for _ in range(matching_samples):
-            c = sample_configuration(seq, rng)
-            k = matching_key(c.pairs)
-            counts[k] = counts.get(k, 0) + 1
-        n_matchings = double_factorial_odd(seq.m)
-        observed = np.zeros(n_matchings)
-        all_keys = enumerate_matchings(seq.total_points)
-        assert len(all_keys) == n_matchings
-        for i, k in enumerate(all_keys):
-            observed[i] = counts.get(k, 0)
-        chi2, pval = stats.chisquare(observed)
-        matching_test = {
-            "samples": matching_samples,
-            "categories": n_matchings,
-            "observed_categories": int(np.count_nonzero(observed)),
-            "chi2": float(chi2),
-            "pvalue": float(pval),
-            "passed": bool(pval > alpha_level and np.all(observed > 0)),
-        }
-
-    # conditional uniformity after deletion: n=4, d=2, p=1/2
-    conditional_test = None
-    seq4 = DegreeSequence.regular(4, 2)
-    groups: dict = {}
-    for _ in range(conditional_samples):
-        c = sample_configuration(seq4, rng)
-        params = DeletionParams(4, p=0.5, seed=rng)
-        out = apply_deletion(c, choose_deletion_set(params))
-        gkey = tuple(int(x) for x in out.survivor.seq.degrees)
-        mkey = matching_key(out.survivor.pairs)
-        groups.setdefault(gkey, {})
-        groups[gkey][mkey] = groups[gkey].get(mkey, 0) + 1
-
-    cases = []
-    for gkey in sorted(groups):
-        total_points = int(sum(gkey))
-        m = total_points // 2
-        n_match = double_factorial_odd(m)
-        total = sum(groups[gkey].values())
-        if n_match == 1:
-            cases.append(
-                {
-                    "degrees": list(gkey),
-                    "samples": total,
-                    "categories": 1,
-                    "chi2": 0.0,
-                    "pvalue": 1.0,
-                    "trivial": True,
-                }
-            )
-            continue
-        if total < 5 * n_match:
-            # not enough mass for a stable chi-square on this bucket
-            continue
-        obs = np.zeros(n_match)
-        for i, k in enumerate(enumerate_matchings(total_points)):
-            obs[i] = groups[gkey].get(k, 0)
-        chi2, pval = stats.chisquare(obs)
-        cases.append(
-            {
-                "degrees": list(gkey),
-                "samples": total,
-                "categories": n_match,
-                "chi2": float(chi2),
-                "pvalue": float(pval),
-                "trivial": False,
-            }
-        )
-    if conditional_samples:
-        pvals = [c["pvalue"] for c in cases if not c.get("trivial")]
-        conditional_test = {
-            "samples": conditional_samples,
-            "cases": cases,
-            "min_pvalue": float(min(pvals)) if pvals else 1.0,
-            "passed": bool(all(p > alpha_level for p in pvals)) and len(pvals) > 0,
-        }
-
-    parts = [t for t in (matching_test, conditional_test) if t is not None]
-    return {
-        "matching_test": matching_test,
-        "conditional_test": conditional_test,
-        "passed": bool(parts) and all(t["passed"] for t in parts),
-    }

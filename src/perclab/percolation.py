@@ -142,8 +142,6 @@ def reinstate(
     reinstatement composes to a single round at rate p1*q.  Reinstated
     buckets get back exactly the pairs whose other endpoint also lives.
     """
-    if outcome.r == 0 and winners is None and q is not None:
-        winners = np.zeros(0, dtype=np.int64)
     if winners is None:
         if q is None or not (0 <= q <= 1):
             raise ValueError("need winners or a keep-deleted probability q in [0,1]")

@@ -116,13 +116,25 @@ def test_analyze_rejects_bucket_label_out_of_range(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def run_module(*argv):
+def run_python(*argv):
     src = str(Path(perclab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, "-m", "perclab", *argv], capture_output=True, text=True, env=env
+        [sys.executable, *argv], capture_output=True, text=True, env=env
     )
+
+
+def run_module(*argv):
+    return run_python("-m", "perclab", *argv)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # the package needs numpy and scipy.sparse; the sampler self-test's
+    # chi-square tail comes from scipy.special inside the battery
+    proc = run_python("-c", "import sys, perclab; print('scipy.stats' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize(
@@ -260,6 +272,17 @@ def test_uniformity_exit_code(capsys):
     assert code == 0
     payload = json.loads(stdout)
     assert payload["passed"]
+    assert payload["conditional_test"] is None
+
+
+def test_uniformity_with_no_samples_fails(capsys):
+    code, stdout, _ = run_cli(
+        capsys, "uniformity", "--matching-samples", "0", "--conditional-samples", "0"
+    )
+    assert code == 1
+    assert json.loads(stdout) == {
+        "matching_test": None, "conditional_test": None, "passed": False
+    }
 
 
 def test_missing_subcommand_is_usage_error(capsys):

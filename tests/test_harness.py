@@ -1,8 +1,9 @@
 """Experiment driver: seed discipline, worker invariance, CSV and
-config-file round trips, and the pairing uniformity checks.
+config-file round trips.
 """
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -18,7 +19,6 @@ from perclab.harness import (
     read_config,
     run_experiment,
     run_trial,
-    uniformity_suite,
     write_csv,
 )
 from perclab.theory import bush_bound_K
@@ -189,7 +189,17 @@ def test_csv_columns_shape():
 
 
 def test_csv_roundtrip():
-    rep = run_experiment(small_config(trials=3))
+    rep = run_experiment(small_config(trials=3, exhaustive_expansion=True))
+    # plus a record whose numbers all differ, so a column that reads the
+    # wrong field cannot match by a shared value such as 0
+    rec = rep.records[0]
+    distinct = {}
+    for i, (key, val) in enumerate(vars(rec).items()):
+        if isinstance(val, tuple):
+            distinct[key] = tuple(type(x)(100 * i + j) for j, x in enumerate(val))
+        elif not isinstance(val, bool):
+            distinct[key] = (type(val) if val is not None else float)(100 * i)
+    rep.records.append(dataclasses.replace(rec, **distinct))
     buf = io.StringIO()
     write_csv(rep, buf)
     buf.seek(0)
@@ -197,12 +207,22 @@ def test_csv_roundtrip():
     assert header == csv_columns(4)
     buf.seek(0)
     rows = list(csv.DictReader(buf))
-    assert len(rows) == 3
+    assert len(rows) == 4
+    # every column against the record field it names
+    renamed = {"isolated_cycles": "core_cycle_count"}
     for rec, row in zip(rep.records, rows):
-        assert int(row["seed"]) == rec.seed
-        assert int(row["r"]) == rec.r
-        assert int(row["giant_size"]) == rec.giant_size
-        assert int(row["N_2"]) == rec.census[2]
+        for col in header:
+            if col.startswith(("N_", "mu_")):
+                field, j = col.split("_")
+                val = getattr(rec, "census" if field == "N" else "mu")[int(j)]
+            else:
+                val = getattr(rec, renamed.get(col, col))
+            if val is None:
+                assert row[col] == "", col
+            elif isinstance(val, bool):
+                assert row[col] == str(int(val)), col
+            else:
+                assert type(val)(row[col]) == val, col
 
 
 def test_csv_header_only_when_no_trials(tmp_path):
@@ -221,29 +241,3 @@ def test_csv_file_roundtrip(tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [int(row["seed"]) for row in rows] == [7, 8]
-
-
-# ---------------------------------------------------------------------------
-# pairing uniformity
-
-
-def test_uniformity_suite_passes():
-    out = uniformity_suite(seed=5, matching_samples=3000, conditional_samples=12000)
-    assert out["passed"]
-    mt = out["matching_test"]
-    assert mt["observed_categories"] == mt["categories"] == 15
-    assert mt["pvalue"] > 1e-3
-    cases = out["conditional_test"]["cases"]
-    nontrivial = [c for c in cases if not c.get("trivial") and not c.get("skipped")]
-    assert nontrivial
-    for case in nontrivial:
-        assert case["pvalue"] > 1e-3
-
-
-def test_uniformity_suite_parts_can_be_skipped():
-    only_matching = uniformity_suite(seed=1, matching_samples=1500, conditional_samples=0)
-    assert only_matching["conditional_test"] is None
-    assert only_matching["passed"]
-    only_cond = uniformity_suite(seed=1, matching_samples=0, conditional_samples=8000)
-    assert only_cond["matching_test"] is None
-    assert only_cond["passed"]

@@ -174,6 +174,14 @@ def test_reinstate_q_extremes():
     assert drop_all.r == 0
 
 
+def test_reinstate_checks_q_when_nothing_was_deleted():
+    cfg = sample_configuration(DegreeSequence.regular(30, 3), seed=6)
+    none_deleted = apply_deletion(cfg, [])
+    assert reinstate(cfg, none_deleted, q=0.5, seed=0).r == 0
+    with pytest.raises(ValueError):
+        reinstate(cfg, none_deleted, q=5.0)
+
+
 def test_two_stage_rate_composes():
     # stage one at p1, keep-deleted q: the surviving deletion set should
     # behave like a single binomial at rate p1*q

@@ -403,11 +403,9 @@ def crit_08_regime_b_isolation(ctx) -> CriterionResult:
     n0_ok = float(np.mean([r.census[0] <= cap for r in rep.records]))
     mean_n0 = float(np.mean([r.census[0] for r in rep.records]))
     passed = iso >= 0.90 and n0_ok >= 0.95
-    # an isolated edge is the likeliest non-bare piece: one of the nd/2
-    # edges survives while all 2(d-1) of its neighbours are deleted
-    n, d, trials = rep.config.n, rep.config.d, len(rep.records)
-    p = float(n) ** -rep.config.alpha
-    iso_edges = n * d / 2 * (1 - p) ** 2 * p ** (2 * (d - 1))
+    # an isolated edge is the likeliest non-bare piece
+    trials = len(rep.records)
+    iso_edges = rep.predictions["isolated_edge_mean"]
     q = math.exp(-iso_edges)
     batch_ok = sum(
         math.comb(trials, k) * q**k * (1 - q) ** (trials - k)

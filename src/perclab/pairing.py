@@ -175,14 +175,8 @@ class Multigraph:
             src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
             dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
             eid = np.tile(np.arange(self.m, dtype=np.int64), 2)
-            # counting sort: the CSR of the n x 2m slot matrix lists each
-            # row's slots in increasing order, i.e. a stable argsort of src
-            slot = np.arange(src.size, dtype=np.int64)
-            by_src = csr_matrix(
-                (np.ones(src.size, dtype=np.int8), (src, slot)), shape=(self.n, src.size)
-            )
-            order = by_src.indices
-            self._adj = (by_src.indptr.astype(np.int64), dst[order], eid[order])
+            indptr, order = counting_sort(src, self.n)
+            self._adj = (indptr, dst[order], eid[order])
         return self._adj
 
     def neighbor_sets(self) -> list[set[int]]:
@@ -211,7 +205,7 @@ class Multigraph:
         relabel[labels] = np.arange(labels.size, dtype=np.int64)
         e = self.edges
         sel = mask[e[:, 0]] & mask[e[:, 1]]
-        return Multigraph(labels.size, relabel[e[sel]]), labels
+        return Multigraph(labels.size, relabel[np.compress(sel, e, axis=0)]), labels
 
     def __eq__(self, other):
         if not isinstance(other, Multigraph):
@@ -219,6 +213,17 @@ class Multigraph:
         return self.n == other.n and np.array_equal(
             canonical_edges(self.edges), canonical_edges(other.edges)
         )
+
+
+def counting_sort(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, order): a stable sort of ``keys``, values in 0..n-1, by
+    counting; key k's positions are order[indptr[k]:indptr[k+1]], in
+    increasing order.  That is the CSR of the n x len(keys) slot matrix,
+    which scipy fills in linear time, where argsort is several times slower
+    on unordered keys."""
+    slot = np.arange(keys.size, dtype=np.int64)
+    by_key = csr_matrix((np.ones(keys.size, dtype=np.int8), (keys, slot)), shape=(n, keys.size))
+    return by_key.indptr.astype(np.int64), by_key.indices
 
 
 def canonical_edges(edges: np.ndarray) -> np.ndarray:
@@ -262,7 +267,10 @@ def sample_configuration(seq: DegreeSequence, seed=None) -> Configuration:
     partner = np.zeros(seq.total_points, dtype=np.int64)
     partner[np.minimum(perm[0::2], perm[1::2])] = np.maximum(perm[0::2], perm[1::2])
     first = np.flatnonzero(partner)
-    return Configuration(seq, np.column_stack([first, partner[first]]))
+    pairs = np.empty((first.size, 2), dtype=np.int64)
+    pairs[:, 0] = first
+    pairs[:, 1] = partner[first]
+    return Configuration(seq, pairs)
 
 
 def project(config: Configuration) -> Multigraph:

@@ -98,16 +98,18 @@ def apply_deletion(config: Configuration, deleted) -> PercolationOutcome:
     # a pair survives iff both its buckets survive
     dead_point = dead_bucket[bop]
     pairs = config.pairs
-    kept = pairs[~(dead_point[pairs[:, 0]] | dead_point[pairs[:, 1]])]
-    keep_point = np.zeros(seq.total_points, dtype=bool)
-    keep_point[kept] = True
+    cut = dead_point[pairs[:, 0]] | dead_point[pairs[:, 1]]
+    kept = np.compress(~cut, pairs, axis=0)
+    cut_points = np.compress(cut, pairs, axis=0).ravel()
+    keep_point = ~dead_point
+    keep_point[cut_points] = False
 
     keep_bucket = ~dead_bucket
     bucket_map = np.flatnonzero(keep_bucket)
 
-    # remaining degree per original bucket, then restrict to survivors
-    new_deg_orig = np.bincount(bop[keep_point], minlength=n)
-    new_degrees = new_deg_orig[keep_bucket].astype(np.int64)
+    # each cut pair costs its buckets one degree per point
+    lost = np.bincount(bop[cut_points], minlength=n)
+    new_degrees = (seq.degrees - lost)[keep_bucket]
 
     d_max = int(seq.degrees.max()) if seq.n else 0
     census = np.bincount(new_degrees, minlength=d_max + 1).astype(np.int64)

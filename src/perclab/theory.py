@@ -123,6 +123,17 @@ def isolated_tree_decay(params: ModelParams) -> float:
     return float(params.n) ** (1 - 2 * (params.d - 1) * params.alpha)
 
 
+def isolated_edge_mean(params: ModelParams) -> float:
+    """Finite-n expected count of isolated edges, (nd/2)(1-p)**2 p**(2(d-1)).
+
+    One of the nd/2 edges is isolated when both its ends survive and all
+    2(d-1) of its neighbours are deleted; isolated_tree_decay keeps only
+    the leading order n**(1-2(d-1)alpha) of this.
+    """
+    n, d, p = params.n, params.d, params.p
+    return n * d / 2 * (1 - p) ** 2 * p ** (2 * (d - 1))
+
+
 def isolated_vertex_cap(params: ModelParams) -> float:
     """High-probability ceiling n**((d-2)/(2d-2)) on isolated-vertex counts."""
     d = params.d
@@ -173,6 +184,7 @@ class Predictions:
     regime: str
     K: int
     isolated_tree_decay: float
+    isolated_edge_mean: float
     isolated_vertex_cap: float
     deg2_paths: tuple[tuple[int, float], ...]
 
@@ -189,6 +201,7 @@ class Predictions:
             "regime": self.regime,
             "K": self.K,
             "isolated_tree_decay": self.isolated_tree_decay,
+            "isolated_edge_mean": self.isolated_edge_mean,
             "isolated_vertex_cap": self.isolated_vertex_cap,
             "deg2_paths": {str(k): v for k, v in self.deg2_paths},
         }
@@ -211,6 +224,7 @@ def predictions(params: ModelParams, run_lengths: tuple[int, ...] = ()) -> Predi
         regime=regime_classify(params.d, params.eta),
         K=bush_bound_K(params.d, params.eta),
         isolated_tree_decay=isolated_tree_decay(params),
+        isolated_edge_mean=isolated_edge_mean(params),
         isolated_vertex_cap=isolated_vertex_cap(params),
         deg2_paths=runs,
     )

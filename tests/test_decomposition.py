@@ -421,63 +421,113 @@ def test_prufer_trees_have_many_low_degree_vertices():
 # networkx oracle on percolated pairings
 
 
+def assert_components_match_networkx(nx, g: Multigraph) -> dict:
+    """classify_components(g) against nx.connected_components; returns the
+    non-giant components by kind."""
+    G = nx.MultiGraph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges.tolist())
+    assert G.number_of_edges() == g.m  # loops and parallel edges kept
+
+    rep = classify_components(g)
+    ref = [sorted(c) for c in nx.connected_components(G)]
+    assert rep.n_components == len(ref)
+    assert len({int(rep.labels[c[0]]) for c in ref}) == len(ref)
+    expect = {TREE: [], CYCLE: [], OTHER: []}
+    if not ref:
+        assert rep.giant_label is None and rep.giant_size == 0
+        return expect
+    giant = max(ref, key=lambda c: (len(c), -c[0]))
+    assert rep.giant_label == rep.labels[giant[0]] and rep.giant_size == len(giant)
+    for c in ref:
+        label = int(rep.labels[c[0]])
+        assert np.all(rep.labels[c] == label) and rep.sizes[label] == len(c)
+        if c is giant:
+            assert rep.kinds[label] == GIANT
+            continue
+        edges = G.subgraph(c).number_of_edges()
+        if edges == len(c) - 1:
+            kind = TREE
+        elif edges == len(c) and all(G.degree(v) == 2 for v in c):
+            kind = CYCLE
+        else:
+            kind = OTHER
+        assert rep.kinds[label] == kind
+        expect[kind].append(c)
+    assert [c.tolist() for c in rep.tree_comps] == sorted(expect[TREE])
+    assert [c.tolist() for c in rep.cycle_comps] == sorted(expect[CYCLE])
+    assert [c.tolist() for c in rep.other_comps] == sorted(expect[OTHER])
+    return expect
+
+
+def assert_bushes_match_networkx(nx, g: Multigraph):
+    """bushes(g) against the components of g minus the core's edges, less
+    the core vertices that no other edge touches; returns the roots."""
+    core = two_core(g)
+    out = bushes(g, core)
+    H = nx.MultiGraph()
+    H.add_nodes_from(range(g.n))
+    H.add_edges_from(g.edges[~core.edge_mask].tolist())
+    ref_bushes = {}
+    for c in nx.connected_components(H):
+        c = sorted(c)
+        on_core = [v for v in c if core.alive[v]]
+        assert len(on_core) <= 1
+        if len(c) > 1 or not on_core:
+            ref_bushes[tuple(c)] = on_core[0] if on_core else -1
+    got = {tuple(v.tolist()): int(r) for v, r in zip(out.vertices(), out.roots)}
+    assert got == ref_bushes
+    return out.roots
+
+
 def test_components_and_bushes_match_networkx():
     nx = pytest.importorskip("networkx")
     seen = {"tree": 0, "rooted bush": 0, "free tree": 0}
     for seed, (n, alpha) in enumerate([(2000, 0.18), (2500, 0.22), (3000, 0.25), (3000, 0.3)]):
         cfg = sample_configuration(DegreeSequence.regular(n, 3), seed=seed)
         g = project(percolate(cfg, DeletionParams(n, alpha=alpha, seed=seed)).survivor)
-        G = nx.MultiGraph()
-        G.add_nodes_from(range(g.n))
-        G.add_edges_from(g.edges.tolist())
-        assert G.number_of_edges() == g.m  # loops and parallel edges kept
-
-        rep = classify_components(g)
-        ref = [sorted(c) for c in nx.connected_components(G)]
-        assert rep.n_components == len(ref)
-        assert len({int(rep.labels[c[0]]) for c in ref}) == len(ref)
-        giant = max(ref, key=lambda c: (len(c), -c[0]))
-        assert rep.giant_label == rep.labels[giant[0]] and rep.giant_size == len(giant)
-        expect = {TREE: [], CYCLE: [], OTHER: []}
-        for c in ref:
-            label = int(rep.labels[c[0]])
-            assert np.all(rep.labels[c] == label) and rep.sizes[label] == len(c)
-            if c is giant:
-                assert rep.kinds[label] == GIANT
-                continue
-            edges = G.subgraph(c).number_of_edges()
-            if edges == len(c) - 1:
-                kind = TREE
-            elif edges == len(c) and all(G.degree(v) == 2 for v in c):
-                kind = CYCLE
-            else:
-                kind = OTHER
-            assert rep.kinds[label] == kind
-            expect[kind].append(c)
-        assert [c.tolist() for c in rep.tree_comps] == sorted(expect[TREE])
-        assert [c.tolist() for c in rep.cycle_comps] == sorted(expect[CYCLE])
-        assert [c.tolist() for c in rep.other_comps] == sorted(expect[OTHER])
-        seen["tree"] += len(expect[TREE])
-
-        # bushes: components of the graph minus the core's edges, less the
-        # core vertices that no other edge touches
-        core = two_core(g)
-        out = bushes(g, core)
-        H = nx.MultiGraph()
-        H.add_nodes_from(range(g.n))
-        H.add_edges_from(g.edges[~core.edge_mask].tolist())
-        ref_bushes = {}
-        for c in nx.connected_components(H):
-            c = sorted(c)
-            on_core = [v for v in c if core.alive[v]]
-            assert len(on_core) <= 1
-            if len(c) > 1 or not on_core:
-                ref_bushes[tuple(c)] = on_core[0] if on_core else -1
-        got = {tuple(v.tolist()): int(r) for v, r in zip(out.vertices(), out.roots)}
-        assert got == ref_bushes
-        seen["rooted bush"] += int(np.count_nonzero(out.roots >= 0))
-        seen["free tree"] += int(np.count_nonzero(out.roots < 0))
+        seen["tree"] += len(assert_components_match_networkx(nx, g)[TREE])
+        roots = assert_bushes_match_networkx(nx, g)
+        seen["rooted bush"] += int(np.count_nonzero(roots >= 0))
+        seen["free tree"] += int(np.count_nonzero(roots < 0))
     assert all(seen.values()), seen
+
+
+def shuffled(g: Multigraph, rng) -> Multigraph:
+    """g with its rows in random order and random rows' ends swapped."""
+    e = g.edges[rng.permutation(g.m)]
+    swap = rng.random(g.m) < 0.5
+    e[swap] = e[swap][:, ::-1]
+    return Multigraph(g.n, e)
+
+
+def test_components_and_bushes_on_unordered_edge_lists():
+    """The pipeline's edge lists come sorted by first end; a library caller
+    or `perclab analyze` may pass any order, which the component CSR must
+    not depend on."""
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(10)
+    graphs = [Multigraph(0, []), Multigraph(6, [])]
+    for seed, (n, d, alpha) in enumerate([(3000, 3, 0.18), (3000, 3, 0.25), (10_000, 4, 0.3)]):
+        cfg = sample_configuration(DegreeSequence.regular(n, d), seed=seed)
+        g = project(percolate(cfg, DeletionParams(n, alpha=alpha, seed=seed)).survivor)
+        # extra loops, parallel edges, a triangle with a tail and two
+        # isolated vertices
+        extra = rng.integers(0, g.n, size=(20, 2))
+        extra[:5, 1] = extra[:5, 0]
+        lollipop = g.n + triangle_with_tail().edges
+        edges = np.vstack([g.edges, extra, g.edges[:10], lollipop])
+        graphs.append(Multigraph(g.n + 7, edges))
+    kinds = set()
+    for g in graphs:
+        h = shuffled(g, rng)
+        expect = assert_components_match_networkx(nx, h)
+        kinds.update(k for k, comps in expect.items() if comps)
+        assert_bushes_match_networkx(nx, h)
+        assert np.array_equal(classify_components(h).labels, classify_components(g).labels)
+        assert np.array_equal(bushes(h).labels, bushes(g).labels)
+    assert kinds == {TREE, CYCLE, OTHER}
+    assert any(np.any(g.edges[:, 0] == g.edges[:, 1]) for g in graphs)
 
 
 # ---------------------------------------------------------------------------

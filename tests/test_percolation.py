@@ -79,6 +79,27 @@ def test_deletion_matches_hand_relabelling_exhaustively(degrees):
                 assert out.survivor.pairs.tolist() == want_pairs
 
 
+@pytest.mark.parametrize("n", [40, 1000, 30_000])
+def test_projection_commutes_with_deletion(n):
+    # deleting buckets then projecting gives the projection's induced
+    # subgraph row for row, and the census counts that graph's degrees
+    rng = np.random.default_rng(n)
+    degrees = rng.integers(0, 6, size=n)
+    degrees[0] += degrees.sum() % 2
+    cfg = sample_configuration(DegreeSequence(degrees), seed=rng)
+    g = project(cfg)
+    for deleted in [[], np.flatnonzero(rng.random(n) < 0.3), np.arange(n)]:
+        dead = np.zeros(n, dtype=bool)
+        dead[deleted] = True
+        out = apply_deletion(cfg, deleted)
+        h = project(out.survivor)
+        want, labels = g.induced(~dead)
+        assert h.edges.dtype == want.edges.dtype and np.array_equal(h.edges, want.edges)
+        assert np.array_equal(out.bucket_map, labels)
+        assert out.census.size == degrees.max() + 1
+        assert np.array_equal(out.census, np.bincount(h.degree, minlength=out.census.size))
+
+
 def test_delete_nothing_is_identity():
     cfg = sample_configuration(DegreeSequence.regular(20, 3), seed=4)
     out = apply_deletion(cfg, np.zeros(0, dtype=np.int64))

@@ -18,6 +18,7 @@ from perclab.theory import (
     core_mu,
     expected_deg2_paths,
     expected_r,
+    isolated_edge_mean,
     isolated_tree_decay,
     isolated_vertex_cap,
     mu,
@@ -101,6 +102,17 @@ def test_isolated_tree_decay():
     assert isolated_tree_decay(p) == pytest.approx(10 ** (5 * -0.2))
     # supercritical alpha decays, subcritical blows up
     assert isolated_tree_decay(ModelParams(n=10**6, d=4, alpha=0.5)) < 1e-6
+
+
+def test_isolated_edge_mean():
+    # n=100, d=3, alpha=1/2: p = 0.1, so 150 * 0.9^2 * 0.1^4 = 0.01215
+    p = ModelParams(n=100, d=3, alpha=0.5)
+    assert isolated_edge_mean(p) == pytest.approx(0.01215, rel=1e-12)
+    pred = predictions(p)
+    assert pred.isolated_edge_mean == isolated_edge_mean(p)
+    assert pred.to_dict()["isolated_edge_mean"] == isolated_edge_mean(p)
+    # the leading order drops the nd/2 (1-p)^2 factor
+    assert pred.isolated_tree_decay == pytest.approx(100**-1.0)
 
 
 def test_isolated_vertex_cap():

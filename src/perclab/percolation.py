@@ -98,9 +98,9 @@ def apply_deletion(config: Configuration, deleted) -> PercolationOutcome:
     # a pair survives iff both its buckets survive
     dead_point = dead_bucket[bop]
     pairs = config.pairs
-    cut = dead_point[pairs[:, 0]] | dead_point[pairs[:, 1]]
-    kept = np.compress(~cut, pairs, axis=0)
-    cut_points = np.compress(cut, pairs, axis=0).ravel()
+    keep = ~(dead_point[pairs[:, 0]] | dead_point[pairs[:, 1]])
+    kept = np.compress(keep, pairs, axis=0)
+    cut_points = np.compress(~keep, pairs, axis=0).ravel()
     keep_point = ~dead_point
     keep_point[cut_points] = False
 

@@ -38,10 +38,6 @@ class TwoCore:
     def size(self) -> int:
         return int(np.count_nonzero(self.alive))
 
-    @property
-    def edge_count(self) -> int:
-        return int(np.count_nonzero(self.edge_mask))
-
     def census(self, d_max: int | None = None) -> np.ndarray:
         """N'_0..N'_d over core vertices (entries below 2 are always 0)."""
         if d_max is None:

@@ -94,10 +94,8 @@ class TrialRecord:
     max_tree_size: int
     cycle_component_count: int
     other_component_count: int
-    bush_count: int
     max_bush_size: int
     two_core_size: int
-    core_edge_count: int
     core_census: tuple
     kernel_size: int
     core_cycle_count: int
@@ -180,10 +178,8 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
         max_tree_size=comp.max_isolated_tree_size,
         cycle_component_count=comp.isolated_cycle_count,
         other_component_count=comp.other_count,
-        bush_count=len(dec.bushes),
         max_bush_size=dec.max_bush_size,
         two_core_size=dec.two_core_size,
-        core_edge_count=dec.core.edge_count,
         core_census=tuple(int(x) for x in dec.core_census),
         kernel_size=dec.kernel_size,
         core_cycle_count=len(dec.kernel.cycles),

@@ -11,9 +11,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
+from perclab import expansion
 from perclab.pairing import DegreeSequence, Multigraph, sample_configuration, project
-from perclab.decomposition import kernel, two_core
+from perclab.decomposition import classify_components, kernel, two_core
+from perclab.percolation import DeletionParams, apply_deletion, choose_deletion_set
 from perclab.expansion import (
     DENSE_EIG_LIMIT,
     certify,
@@ -356,6 +359,22 @@ def test_sparse_spectral_on_complete_graph():
     assert spectral_lower_bound(g).lambda2 == pytest.approx(n / (n - 1), abs=1e-9)
 
 
+def test_sparse_spectral_stops_on_an_invariant_subspace(monkeypatch):
+    # on K_70 every Krylov space of the reflected operator lies in span{x, u}:
+    # Lanczos must stop after two steps, not go on normalizing rounding noise
+    sizes = []
+
+    def recording(alphas, betas, **kw):
+        sizes.append(len(alphas))
+        return eigh_tridiagonal(alphas, betas, **kw)
+
+    monkeypatch.setattr(expansion, "eigh_tridiagonal", recording)
+    n = 70
+    g = Multigraph(n, np.array(list(combinations(range(n), 2))))
+    assert spectral_lower_bound(g).lambda2 == pytest.approx(n / (n - 1), abs=1e-9)
+    assert sizes == [2]
+
+
 def test_sparse_spectral_on_a_bottleneck():
     left = random_pairing_graph(100, 4, 7)
     right = random_pairing_graph(100, 4, 8)
@@ -370,3 +389,37 @@ def test_sparse_spectral_on_a_bottleneck():
 def test_sparse_spectral_is_deterministic():
     g = random_pairing_graph(300, 4, 11)
     assert spectral_lower_bound(g, seed=5).lambda2 == spectral_lower_bound(g, seed=5).lambda2
+
+
+@pytest.mark.parametrize("d, alpha, seed", [(4, 0.2, 1), (3, 0.3, 2)])
+def test_sparse_spectral_on_percolated_giants(d, alpha, seed):
+    # giants of 1594 and 1805 vertices with d_min = 1, the first with a
+    # loop: the graphs a giant certificate solves on, at a size the dense
+    # eigensolver still handles
+    rng = np.random.default_rng(seed)
+    cfg = sample_configuration(DegreeSequence.regular(2000, d), rng)
+    params = DeletionParams(2000, alpha=alpha, seed=rng)
+    survivor = project(apply_deletion(cfg, choose_deletion_set(params)).survivor)
+    comp = classify_components(survivor)
+    giant, _ = survivor.induced(comp.labels == comp.giant_label)
+    assert giant.n > 1500 and giant.degree.min() == 1
+    sp = spectral_lower_bound(giant, seed=seed)
+    assert sp.connected
+    assert sp.lambda2 == pytest.approx(dense_lambda2(giant), abs=1e-9)
+
+
+def test_sparse_spectral_step_cap(monkeypatch):
+    monkeypatch.setattr(expansion, "LANCZOS_MAX_STEPS", 5)
+    g = random_pairing_graph(300, 4, 11)
+    with pytest.raises(RuntimeError, match=r"n = 300 after 5 steps \(last residual"):
+        spectral_lower_bound(g)
+
+
+def test_sparse_spectral_draws_one_start_vector():
+    # the eigensolver takes one standard_normal(n) draw from the trial's
+    # stream and nothing else, so later draws do not depend on the solver
+    g = random_pairing_graph(300, 4, 11)
+    gen, twin = np.random.default_rng(9), np.random.default_rng(9)
+    spectral_lower_bound(g, seed=gen)
+    twin.standard_normal(g.n)
+    assert gen.integers(2**62) == twin.integers(2**62)

@@ -25,11 +25,8 @@ from perclab.pairing import Multigraph, canonical_edges
 
 EXHAUSTIVE_LIMIT = 20
 DENSE_EIG_LIMIT = 64
-# Lanczos: relative residual tolerance, cap on operator applications, and
-# how many steps pass between Ritz value checks.
-LANCZOS_TOL = 1e-8
-LANCZOS_MAX_STEPS = 10_000
-LANCZOS_CHECK_EVERY = 10
+LANCZOS_TOL = 1e-8  # relative Ritz residual at which Lanczos stops
+LANCZOS_MAX_STEPS = 10_000  # operator applications before it gives up
 
 _POP16 = None
 
@@ -176,58 +173,36 @@ class SpectralBound(NamedTuple):
 
 
 def _normalized_adjacency(g: Multigraph) -> csr_matrix:
-    deg = g.degree.astype(np.float64)
-    e = g.edges
-    loops = e[:, 0] == e[:, 1]
-    u = np.concatenate([e[~loops, 0], e[~loops, 1], e[loops, 0]])
-    v = np.concatenate([e[~loops, 1], e[~loops, 0], e[loops, 1]])
-    w = np.concatenate(
-        [
-            np.ones(2 * int((~loops).sum())),
-            np.full(int(loops.sum()), 2.0),  # a loop carries weight 2
-        ]
-    )
-    scale = 1.0 / np.sqrt(deg)
-    data = w * scale[u] * scale[v]
-    return csr_matrix((data, (u, v)), shape=(g.n, g.n))
+    # both directions of every edge; the two entries of a loop sum to its
+    # weight 2, as parallel edges sum to their multiplicity
+    u = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
+    v = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
+    scale = 1.0 / np.sqrt(g.degree)
+    return csr_matrix((scale[u] * scale[v], (u, v)), shape=(g.n, g.n))
 
 
 def _top_eigenvalue(op, v: np.ndarray) -> float:
-    """Largest eigenvalue of the symmetric operator ``op``, by plain
-    three-term Lanczos from ``v``, without reorthogonalization.
-
-    Lost orthogonality only adds spurious copies of converged Ritz values;
-    the top one still converges to the top eigenvalue (Parlett, *The
-    Symmetric Eigenvalue Problem*, ch. 13).  Stops when the top Ritz pair
-    (theta, s) has residual beta_j |s_j| <= tol * max(|theta|, eps^(2/3)),
-    ARPACK's rule, or when beta_j falls to rounding level: the Krylov space
-    is then invariant and theta an eigenvalue, and going on would only
-    normalize rounding noise.
-    """
+    """Top eigenvalue of the symmetric operator ``op`` (norm at most 1) by
+    plain Lanczos from ``v``; lost orthogonality only adds copies of
+    converged Ritz values (Parlett, *The Symmetric Eigenvalue Problem*,
+    ch. 13).  Stops on ARPACK's rule for the top Ritz pair (theta, s),
+    beta_j |s_j| <= tol * max(|theta|, eps^(2/3)), checked every 10 steps,
+    or at once on an invariant Krylov space (beta_j at rounding level)."""
     eps = np.finfo(np.float64).eps
-    floor = eps ** (2 / 3)
-    breakdown = eps * v.size  # the operator's norm is at most 1
-    alphas: list[float] = []
-    betas: list[float] = []
-    q_prev = np.zeros_like(v)
-    q = v / np.linalg.norm(v)
-    beta = 0.0
+    alphas, betas = [], []
+    q_prev, q, beta = 0.0, v / np.linalg.norm(v), 0.0
     for j in range(1, LANCZOS_MAX_STEPS + 1):
         w = op(q)
         w -= beta * q_prev
-        alpha = float(q @ w)
-        w -= alpha * q
+        alphas.append(float(q @ w))
+        w -= alphas[-1] * q
         beta = math.sqrt(float(w @ w))
-        alphas.append(alpha)
-        last = j == LANCZOS_MAX_STEPS
-        if beta <= breakdown or j % LANCZOS_CHECK_EVERY == 0 or last:
-            theta, s = eigh_tridiagonal(
-                alphas, betas, select="i", select_range=(j - 1, j - 1)
-            )
-            theta = float(theta[0])
+        invariant = beta <= eps * v.size
+        if invariant or j % 10 == 0 or j == LANCZOS_MAX_STEPS:
+            theta, s = eigh_tridiagonal(alphas, betas, select="i", select_range=(j - 1, j - 1))
             resid = beta * abs(float(s[-1, 0]))
-            if beta <= breakdown or resid <= LANCZOS_TOL * max(abs(theta), floor):
-                return theta
+            if invariant or resid <= LANCZOS_TOL * max(abs(theta[0]), eps ** (2 / 3)):
+                return float(theta[0])
         betas.append(beta)
         q_prev, q = q, w / beta
     raise RuntimeError(
@@ -245,13 +220,11 @@ def spectral_lower_bound(g: Multigraph, seed=0) -> SpectralBound:
     Disconnected graphs report 0 with the flag down; on fewer than 2
     vertices lambda2 does not exist and the bound is vacuously 0.
 
-    "Certified" holds up to the eigensolver's error.  Above
-    DENSE_EIG_LIMIT vertices lambda2 = 1 - theta, where theta is a Lanczos
-    Ritz value for the top eigenvalue of the reflected operator below.  In
-    exact arithmetic theta never exceeds that eigenvalue, so 1 - theta can
-    overestimate lambda2 by the solver's error; the stopping rule bounds
-    the Ritz residual by LANCZOS_TOL * max(|theta|, eps^(2/3)).  The start
-    vector is one ``standard_normal(n)`` draw from ``seed``, the only draw.
+    "Certified" holds up to solver error: above DENSE_EIG_LIMIT vertices,
+    lambda2 = 1 - theta for a Lanczos Ritz value theta, which never exceeds
+    the reflected operator's top eigenvalue in exact arithmetic; the Ritz
+    residual is at most LANCZOS_TOL * max(|theta|, eps^(2/3)).  The start
+    vector, one ``standard_normal(n)`` draw from ``seed``, is the only draw.
     """
     n = g.n
     if n < 2:
@@ -281,8 +254,7 @@ def spectral_lower_bound(g: Multigraph, seed=0) -> SpectralBound:
             y -= (2.0 * (u @ x)) * u
             return y
 
-        rng = np.random.default_rng(seed)
-        theta = _top_eigenvalue(reflected, rng.standard_normal(n))
+        theta = _top_eigenvalue(reflected, np.random.default_rng(seed).standard_normal(n))
         lam2 = float(max(1.0 - theta, 0.0))
     value = 0.5 * lam2 * float(deg.min()) / float(deg.max())
     return SpectralBound(value, lam2, True)

@@ -391,18 +391,17 @@ def test_sparse_spectral_is_deterministic():
     assert spectral_lower_bound(g, seed=5).lambda2 == spectral_lower_bound(g, seed=5).lambda2
 
 
-@pytest.mark.parametrize("d, alpha, seed", [(4, 0.2, 1), (3, 0.3, 2)])
-def test_sparse_spectral_on_percolated_giants(d, alpha, seed):
-    # giants of 1594 and 1805 vertices with d_min = 1, the first with a
-    # loop: the graphs a giant certificate solves on, at a size the dense
-    # eigensolver still handles
+@pytest.mark.parametrize("d, alpha, seed, size", [(4, 0.2, 1, 1594), (3, 0.3, 2, 1805)])
+def test_sparse_spectral_on_percolated_giants(d, alpha, seed, size):
+    # giants with d_min = 1, the first with a loop: the graphs a giant
+    # certificate solves on, at a size the dense eigensolver still handles
     rng = np.random.default_rng(seed)
     cfg = sample_configuration(DegreeSequence.regular(2000, d), rng)
     params = DeletionParams(2000, alpha=alpha, seed=rng)
     survivor = project(apply_deletion(cfg, choose_deletion_set(params)).survivor)
     comp = classify_components(survivor)
     giant, _ = survivor.induced(comp.labels == comp.giant_label)
-    assert giant.n > 1500 and giant.degree.min() == 1
+    assert giant.n == size and giant.degree.min() == 1
     sp = spectral_lower_bound(giant, seed=seed)
     assert sp.connected
     assert sp.lambda2 == pytest.approx(dense_lambda2(giant), abs=1e-9)

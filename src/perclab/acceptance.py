@@ -4,9 +4,9 @@ Fourteen checks, each printing one PASS/FAIL line.  Asymptotic statements
 are operationalized as trial fractions at fixed n with explicit
 thresholds; exact combinatorial claims are checked against brute-force
 oracles.  Every check runs from the fixed ACCEPT_SEED, chosen once up
-front, so a run is a single deterministic draw of the whole battery (the
-statistical checks are calibrated to pass with large margin at honest
-significance levels; none of them is tuned to a lucky seed).
+front, so a run is a single deterministic draw of the whole battery.  Not
+every draw passes: crit 8 passes at exactly 45/50 on ACCEPT_SEED and
+fails on some other seeds (ROADMAP, direction 2).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import resource
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 from scipy.special import chdtrc
@@ -36,6 +37,7 @@ from perclab.expansion import (
 )
 from perclab.harness import ExperimentConfig, run_trial, run_experiment
 from perclab.pairing import (
+    Configuration,
     DegreeSequence,
     SamplingFailureError,
     enumerate_matchings,
@@ -184,11 +186,10 @@ class AcceptanceContext:
 # ---------------------------------------------------------------------------
 # sampler self-test
 #
-# Two chi-square checks with known ground truth: raw matching frequencies
-# against the uniform distribution over all (2m-1)!! pairings, and
-# post-deletion matchings, grouped by surviving degree sequence, against
-# uniformity over the matchings of the surviving points.  The second is
-# the distributional fact that makes two-round deletion legal.
+# A chi-square check of raw matching frequencies against the uniform
+# distribution over all (2m-1)!! pairings, and an exact check that the
+# survivor's pairing is uniform given the deleted buckets and the surviving
+# degrees: the finite fact that makes two-round deletion legal.
 
 
 def _observed(counts: Counter, total_points: int) -> np.ndarray:
@@ -208,6 +209,8 @@ def _chisquare(obs: np.ndarray) -> tuple[float, float]:
 
 def matching_uniformity(seed, samples: int) -> dict:
     """Sampler frequencies over the 15 pairings of n=3 buckets of degree 2."""
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
     seq = DegreeSequence.regular(3, 2)
     counts = Counter(
@@ -225,34 +228,34 @@ def matching_uniformity(seed, samples: int) -> dict:
     }
 
 
-def conditional_uniformity(seed, samples: int) -> dict:
-    """Survivor matchings of n=4, d=2 at p=1/2, one chi-square per surviving
-    degree sequence with at least 5 samples per matching."""
-    rng = np.random.default_rng(seed)
-    seq = DegreeSequence.regular(4, 2)
+def deletion_uniformity() -> dict:
+    """Every pairing times every deletion set of the degree sequences
+    [2,2,2,2] and [3,1,0,2,2] through apply_deletion, grouped by (sequence,
+    deleted buckets, surviving degrees): each group must hold every matching
+    of the surviving points equally often.  Labels are 0-based."""
     groups: dict = {}
-    for _ in range(samples):
-        c = sample_configuration(seq, rng)
-        out = apply_deletion(c, choose_deletion_set(DeletionParams(4, p=0.5, seed=rng)))
-        degrees = tuple(int(x) for x in out.survivor.seq.degrees)
-        groups.setdefault(degrees, Counter())[matching_key(out.survivor.pairs)] += 1
+    for degrees in ((2, 2, 2, 2), (3, 1, 0, 2, 2)):
+        seq = DegreeSequence(np.array(degrees))
+        for key in enumerate_matchings(seq.total_points):
+            config = Configuration(seq, np.array(key).reshape(-1, 2))
+            for r in range(seq.n + 1):
+                for deleted in combinations(range(seq.n), r):
+                    out = apply_deletion(config, np.array(deleted, dtype=np.int64))
+                    group = (degrees, deleted, tuple(out.survivor.seq.degrees.tolist()))
+                    counts = groups.setdefault(group, Counter())
+                    counts[matching_key(out.survivor.pairs)] += 1
 
-    cases = []
-    for degrees in sorted(groups):
-        obs = _observed(groups[degrees], sum(degrees))
-        total = int(obs.sum())
-        case = {"degrees": list(degrees), "samples": total, "categories": obs.size}
-        if obs.size == 1:
-            cases.append({**case, "chi2": 0.0, "pvalue": 1.0, "trivial": True})
-        elif total >= 5 * obs.size:
-            chi2, pval = _chisquare(obs)
-            cases.append({**case, "chi2": chi2, "pvalue": pval, "trivial": False})
-    pvals = [c["pvalue"] for c in cases if not c["trivial"]]
+    failures = []
+    for (degrees, deleted, surviving), counts in groups.items():
+        obs = _observed(counts, sum(surviving))
+        if obs.min() != obs.max():
+            failures.append(dict(sequence=degrees, deleted=deleted, degrees=surviving,
+                                 min_count=int(obs.min()), max_count=int(obs.max())))
     return {
-        "samples": samples,
-        "cases": cases,
-        "min_pvalue": min(pvals, default=1.0),
-        "passed": bool(pvals) and all(p > UNIFORMITY_LEVEL for p in pvals),
+        "groups": len(groups),
+        "failed_groups": len(failures),
+        "first_failure": failures[0] if failures else None,
+        "passed": not failures,
     }
 
 
@@ -491,18 +494,18 @@ def crit_10_oracles(ctx) -> CriterionResult:
     )
 
 
-def crit_11_conditional_uniformity(ctx) -> CriterionResult:
+def crit_11_deletion_uniformity(ctx) -> CriterionResult:
     t0 = time.perf_counter()
-    ct = conditional_uniformity(ctx.seed, 100_000)
-    ncases = len([c for c in ct["cases"] if not c["trivial"]])
+    du = deletion_uniformity()
+    details = [f"equal counts in {du['groups'] - du['failed_groups']}/{du['groups']} groups"]
+    if du["first_failure"]:
+        details.append("first unequal: sequence {sequence}, deleted {deleted}, degrees "
+                       "{degrees}, counts {min_count}..{max_count}".format(**du["first_failure"]))
     return CriterionResult(
         11,
-        "post-deletion pairing uniform per degree sequence (n=4, d=2, p=0.5)",
-        ct["passed"],
-        [
-            f"{ncases} chi-square buckets",
-            f"min p={ct['min_pvalue']:.4f} (need > {UNIFORMITY_LEVEL:g})",
-        ],
+        "survivor pairing uniform given deleted buckets and degrees (exact)",
+        du["passed"],
+        details,
         time.perf_counter() - t0,
     )
 
@@ -612,7 +615,7 @@ CRITERIA = [
     crit_08_regime_b_isolation,
     crit_09_tightness_runs,
     crit_10_oracles,
-    crit_11_conditional_uniformity,
+    crit_11_deletion_uniformity,
     crit_12_reinstatement,
     crit_13_diameter,
     crit_14_performance,

@@ -12,10 +12,8 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from perclab import theory
-from perclab.acceptance import conditional_uniformity, matching_uniformity, run_criteria
+from perclab.acceptance import deletion_uniformity, matching_uniformity, run_criteria
 from perclab.decomposition import decompose, kernel, two_core
 from perclab.expansion import certify
 from perclab.harness import (
@@ -134,14 +132,11 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_uniformity(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    parts = {"matching_test": None, "conditional_test": None}
-    if args.matching_samples:
-        parts["matching_test"] = matching_uniformity(rng, args.matching_samples)
-    if args.conditional_samples:
-        parts["conditional_test"] = conditional_uniformity(rng, args.conditional_samples)
-    run = [t for t in parts.values() if t is not None]
-    suite = {**parts, "passed": bool(run) and all(t["passed"] for t in run)}
+    suite = {
+        "matching_test": matching_uniformity(args.seed, args.matching_samples),
+        "conditional_test": deletion_uniformity(),
+    }
+    suite["passed"] = all(t["passed"] for t in suite.values())
     _write_output(json.dumps(suite, indent=1, sort_keys=True) + "\n", args.output)
     return 0 if suite["passed"] else 1
 
@@ -220,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("uniformity", help="sampler uniformity statistics")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--matching-samples", type=int, default=15_000)
-    p.add_argument("--conditional-samples", type=int, default=60_000)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_uniformity)
 

@@ -206,7 +206,8 @@ def kernel(core: Multigraph) -> Kernel:
     kidx[kverts] = np.arange(kverts.size, dtype=np.int64)
 
     b0, b1 = branch[edges[:, 0]], branch[edges[:, 1]]
-    direct = np.compress(b0 & b1, edges, axis=0)
+    direct = b0 & b1
+    nd = int(np.count_nonzero(direct))
 
     # components of the graph on the degree-2 vertices alone
     chain_verts = np.flatnonzero(~branch)
@@ -225,8 +226,14 @@ def kernel(core: Multigraph) -> Kernel:
     ends = ex[order, 0].reshape(-1, 2)
     chain_comp = ex_comp[order][0::2]
 
-    kedge = np.concatenate([direct, ends])
-    internal = np.concatenate([np.zeros(len(direct), dtype=np.int64), sizes[chain_comp]])
+    # one allocation: direct edges, then one edge per chain, relabelled in
+    # place (take's "raise" mode buffers a copy; no index here is clipped)
+    kedge = np.empty((nd + len(ends), 2), dtype=np.int64)
+    np.take(edges, np.flatnonzero(direct), axis=0, out=kedge[:nd], mode="clip")
+    kedge[nd:] = ends
+    np.take(kidx, kedge, out=kedge, mode="clip")
+    internal = np.zeros(len(kedge), dtype=np.int64)
+    internal[nd:] = sizes[chain_comp]
 
     is_cycle = np.ones(ncomp, dtype=bool)
     is_cycle[ex_comp] = False
@@ -238,7 +245,7 @@ def kernel(core: Multigraph) -> Kernel:
     assert kverts.size + int(internal.sum()) + cyc_total == n
     assert kedge.shape[0] + int(internal.sum()) + cyc_total == m
 
-    kgraph = Multigraph(kverts.size, kidx[kedge])
+    kgraph = Multigraph(kverts.size, kedge)
     return Kernel(graph=kgraph, labels=kverts, internal=internal, cycles=cycles)
 
 

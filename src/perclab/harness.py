@@ -49,7 +49,6 @@ class ExperimentConfig:
     base_seed: int = 0
     mode: str = "multigraph"
     exhaustive_expansion: bool = False
-    K: int | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -68,9 +67,7 @@ class ExperimentConfig:
 
     @property
     def K_effective(self) -> int | None:
-        """Bush/tree size cutoff: explicit K, else derived from eta/alpha."""
-        if self.K is not None:
-            return self.K
+        """Bush/tree size cutoff K, derived from eta (else alpha)."""
         eta = self.eta if self.eta is not None else self.alpha
         if eta is None or self.d < 3:
             return None
@@ -399,7 +396,6 @@ _CONFIG_TYPES = {
     "base_seed": int,
     "mode": str,
     "exhaustive_expansion": bool,
-    "K": int,
 }
 
 

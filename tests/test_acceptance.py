@@ -5,6 +5,8 @@ and the test asserts it passed.  The shared context caches the heavy
 trial batches so the battery builds each one exactly once.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -14,9 +16,11 @@ from perclab.acceptance import (
     UNIFORMITY_LEVEL,
     AcceptanceContext,
     _chisquare,
-    conditional_uniformity,
+    deletion_uniformity,
     matching_uniformity,
 )
+from perclab.pairing import Configuration, DegreeSequence
+from perclab.percolation import apply_deletion
 
 
 @pytest.fixture(scope="module")
@@ -40,17 +44,50 @@ def test_uniformity_checks_pass():
     assert mt["passed"]
     assert mt["observed_categories"] == mt["categories"] == 15
     assert mt["pvalue"] > UNIFORMITY_LEVEL
-    ct = conditional_uniformity(rng, 12000)
-    assert ct["passed"]
-    nontrivial = [c for c in ct["cases"] if not c["trivial"]]
-    assert nontrivial
-    for case in nontrivial:
-        assert case["pvalue"] > UNIFORMITY_LEVEL
+    assert deletion_uniformity() == {
+        "groups": 68 + 114, "failed_groups": 0, "first_failure": None, "passed": True
+    }
 
 
 def test_uniformity_checks_run_on_their_own():
     assert matching_uniformity(1, 1500)["passed"]
-    assert conditional_uniformity(1, 8000)["passed"]
+
+
+def drop_surviving_loops(config, deleted):
+    """apply_deletion, then drop every loop of the survivor, which lowers
+    its bucket's degree by two."""
+    out = apply_deletion(config, deleted)
+    s = out.survivor
+    bop = s.seq.bucket_of_point
+    loop = bop[s.pairs[:, 0]] == bop[s.pairs[:, 1]]
+    keep_point = np.ones(s.seq.total_points, dtype=bool)
+    keep_point[s.pairs[loop].ravel()] = False
+    degrees = s.seq.degrees - 2 * np.bincount(bop[s.pairs[loop, 0]], minlength=s.n)
+    new_id = np.cumsum(keep_point) - 1
+    survivor = Configuration(DegreeSequence(degrees), new_id[s.pairs[~loop]])
+    return dataclasses.replace(out, survivor=survivor)
+
+
+def rewrite_one_matching(config, deleted):
+    """apply_deletion, then turn the survivor matching [[0,1],[2,3]] into
+    [[0,2],[1,3]]."""
+    out = apply_deletion(config, deleted)
+    if out.survivor.pairs.tolist() == [[0, 1], [2, 3]]:
+        out.survivor = Configuration(out.survivor.seq, np.array([[0, 2], [1, 3]]))
+    return out
+
+
+@pytest.mark.parametrize(
+    "mutant, failed_groups",
+    [(drop_surviving_loops, 45 + 56), (rewrite_one_matching, 30 + 38)],
+)
+def test_deletion_uniformity_catches_biased_deletion(monkeypatch, mutant, failed_groups):
+    monkeypatch.setattr("perclab.acceptance.apply_deletion", mutant)
+    du = deletion_uniformity()
+    assert not du["passed"]
+    assert du["failed_groups"] == failed_groups
+    f = du["first_failure"]
+    assert f["min_count"] < f["max_count"]
 
 
 def test_chisquare_matches_scipy_stats():

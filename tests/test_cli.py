@@ -266,23 +266,22 @@ def test_experiment_writes_outputs(tmp_path, capsys):
 
 def test_uniformity_exit_code(capsys):
     code, stdout, _ = run_cli(
-        capsys, "uniformity", "--seed", "3",
-        "--matching-samples", "1500", "--conditional-samples", "0",
+        capsys, "uniformity", "--seed", "3", "--matching-samples", "1500"
     )
     assert code == 0
     payload = json.loads(stdout)
     assert payload["passed"]
-    assert payload["conditional_test"] is None
+    assert payload["matching_test"]["samples"] == 1500
+    assert payload["conditional_test"]["groups"] == 68 + 114
+    assert payload["conditional_test"]["first_failure"] is None
 
 
 def test_uniformity_with_no_samples_fails(capsys):
-    code, stdout, _ = run_cli(
-        capsys, "uniformity", "--matching-samples", "0", "--conditional-samples", "0"
-    )
-    assert code == 1
-    assert json.loads(stdout) == {
-        "matching_test": None, "conditional_test": None, "passed": False
-    }
+    for samples in ("0", "-5"):
+        code, stdout, err = run_cli(capsys, "uniformity", "--matching-samples", samples)
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -28,7 +28,7 @@ CONFIGS = [
     dict(n=20_000, d=4, alpha=0.2, trials=10),
     dict(n=3000, d=3, alpha=0.18, base_seed=5, trials=10),
     dict(n=10_000, d=4, alpha=0.5, exhaustive_expansion=True, trials=10),
-    dict(n=2000, d=3, alpha=0.3, mode="simple", K=3, trials=10),
+    dict(n=2000, d=3, alpha=0.3, mode="simple", trials=10),
     dict(n=2000, d=4, alpha=0.5, exhaustive_expansion=True, trials=10),
     dict(n=18, d=3, alpha=0.4, exhaustive_expansion=True, trials=17),
 ]

@@ -46,14 +46,12 @@ def test_config_validation():
 def test_K_effective_defaults_to_bush_bound():
     cfg = small_config()
     assert cfg.K_effective == bush_bound_K(4, 0.4)
-    cfg2 = small_config(K=9)
-    assert cfg2.K_effective == 9
-    cfg3 = small_config(eta=0.2)
-    assert cfg3.K_effective == bush_bound_K(4, 0.2)
+    cfg2 = small_config(eta=0.2)
+    assert cfg2.K_effective == bush_bound_K(4, 0.2)
 
 
 def test_config_text_roundtrip():
-    cfg = small_config(eta=0.3, exhaustive_expansion=True, K=4)
+    cfg = small_config(eta=0.3, exhaustive_expansion=True)
     back = parse_config_text(format_config(cfg))
     assert back == cfg
 
@@ -74,6 +72,9 @@ def test_config_text_comments_and_errors():
     # the exact-search cap is fixed at expansion.EXHAUSTIVE_LIMIT
     with pytest.raises(ValueError, match="unknown key 'exhaustive_limit'"):
         parse_config_text(text + "exhaustive_limit = 40\n")
+    # K is always derived from eta (else alpha)
+    with pytest.raises(ValueError, match="unknown key 'K'"):
+        parse_config_text(text + "K = 3\n")
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components as _scipy_components
 from scipy.sparse.csgraph import shortest_path as _scipy_shortest_path
 
+from perclab.decomposition import _components
 from perclab.pairing import Multigraph, canonical_edges
 
 EXHAUSTIVE_LIMIT = 20
@@ -230,12 +230,9 @@ def spectral_lower_bound(g: Multigraph, seed=0) -> SpectralBound:
     if n < 2:
         return SpectralBound(0.0, math.nan, True)
     deg = g.degree
-    if int(deg.min()) == 0:
+    if int(deg.min()) == 0 or _components(n, g.edges)[0] > 1:
         return SpectralBound(0.0, 0.0, False)
-    S = _normalized_adjacency(g)  # same sparsity pattern as the adjacency
-    ncomp, _ = _scipy_components(S, directed=False)
-    if ncomp > 1:
-        return SpectralBound(0.0, 0.0, False)
+    S = _normalized_adjacency(g)
 
     if n <= DENSE_EIG_LIMIT:
         lap = np.eye(n) - S.toarray()

@@ -417,19 +417,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
             kwargs[key] = val.lower() in ("true", "1", "yes")
         else:
             kwargs[key] = typ(val)
+    missing = [key for key in ("n", "d") if key not in kwargs]
+    if missing:
+        raise ValueError(f"config lacks required key(s): {', '.join(missing)}")
     return ExperimentConfig(**kwargs)
-
-
-def format_config(config: ExperimentConfig) -> str:
-    lines = []
-    for key in _CONFIG_TYPES:
-        val = getattr(config, key)
-        if val is None:
-            continue
-        if isinstance(val, bool):
-            val = "true" if val else "false"
-        lines.append(f"{key} = {val}")
-    return "\n".join(lines) + "\n"
 
 
 def read_config(path) -> ExperimentConfig:

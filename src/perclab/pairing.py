@@ -342,14 +342,6 @@ def enumerate_matchings(total_points: int) -> list[tuple]:
     return list(rec(tuple(range(total_points))))
 
 
-def double_factorial_odd(m: int) -> int:
-    """(2m-1)!! = number of perfect matchings of 2m points."""
-    out = 1
-    for i in range(1, 2 * m, 2):
-        out *= i
-    return out
-
-
 # ---------------------------------------------------------------------------
 # plain-text serialization
 #
@@ -372,22 +364,31 @@ def format_configuration(config: Configuration) -> str:
     return "\n".join(lines) + "\n"
 
 
+def int64_array(values: list) -> np.ndarray:
+    """Parsed integers as an int64 array; one outside int64 is a ValueError."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("integer outside the int64 range") from None
+
+
 def parse_configuration(text: str) -> Configuration:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty configuration text")
-    head = lines[0].split()
-    n = int(head[0])
-    degrees = np.array([int(x) for x in head[1:]], dtype=np.int64)
-    if degrees.size != n:
-        raise ValueError(f"header says n={n} but lists {degrees.size} degrees")
-    seq = DegreeSequence(degrees)
+    n, *degrees = (int(x) for x in lines[0].split())
+    if len(degrees) != n:
+        raise ValueError(f"header says n={n} but lists {len(degrees)} degrees")
+    body = lines[1:]
+    # summed as Python ints, before the header sizes any array
+    if sum(degrees) != 2 * len(body):
+        raise ValueError(
+            f"the degrees sum to {sum(degrees)}, but {len(body)} pair lines hold {2 * len(body)} points"
+        )
+    seq = DegreeSequence(int64_array(degrees))
     used = np.zeros(seq.total_points, dtype=bool)
     pairs = []
-    body = lines[1:]
-    if len(body) != seq.m:
-        raise ValueError(f"expected {seq.m} pair lines, got {len(body)}")
     for ln in body:
         b1, p1, b2, p2 = (int(x) for x in ln.split())
         if not (1 <= b1 <= n and 1 <= b2 <= n):
@@ -418,4 +419,4 @@ def parse_multigraph(text: str) -> Multigraph:
     for ln in lines[1:]:
         u, v = (int(x) for x in ln.split())
         edges.append((u - 1, v - 1))
-    return Multigraph(n, edges)
+    return Multigraph(n, int64_array(edges))

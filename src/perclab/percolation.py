@@ -16,6 +16,7 @@ from perclab.pairing import (
     Configuration,
     DegreeSequence,
     format_configuration,
+    int64_array,
     parse_configuration,
 )
 
@@ -178,11 +179,9 @@ def parse_outcome(text: str) -> PercolationOutcome:
     for ln in lines:
         s = ln.strip()
         if s.startswith("deleted:"):
-            deleted = np.array(
-                [int(x) - 1 for x in s[len("deleted:"):].split()], dtype=np.int64
-            )
+            deleted = int64_array([int(x) - 1 for x in s[len("deleted:"):].split()])
         elif s.startswith("census:"):
-            census = np.array([int(x) for x in s[len("census:"):].split()], dtype=np.int64)
+            census = int64_array([int(x) for x in s[len("census:"):].split()])
         else:
             body.append(ln)
     if deleted is None or census is None:

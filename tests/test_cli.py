@@ -264,6 +264,16 @@ def test_experiment_writes_outputs(tmp_path, capsys):
     assert len(lines) == 3  # header + 2 rows
 
 
+def test_experiment_config_without_d_exits_one(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("n = 5\n")
+    proc = run_module("experiment", "--config", str(bad))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "lacks required key(s): d" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_uniformity_exit_code(capsys):
     code, stdout, _ = run_cli(
         capsys, "uniformity", "--seed", "3", "--matching-samples", "1500"

@@ -25,6 +25,7 @@ from perclab.decomposition import (
     GIANT,
     OTHER,
     TREE,
+    _components,
     bushes,
     classify_components,
     decompose,
@@ -108,16 +109,30 @@ def test_peel_commutes_with_relabelling():
         assert np.array_equal(b.degrees[perm], a.degrees)
 
 
+def simple_part(g: Multigraph) -> Multigraph:
+    """g without its loops, each set of parallel edges merged into one."""
+    e = np.sort(g.edges[g.edges[:, 0] != g.edges[:, 1]], axis=1)
+    return Multigraph(g.n, np.unique(e, axis=0))
+
+
 def test_peel_matches_networkx_k_core():
     nx = pytest.importorskip("networkx")
+    graphs = []
     for seed, p in [(0, 0.1), (1, 0.2), (2, 0.3)]:
         rng = np.random.default_rng(seed)
         _, g, _ = sample_simple_regular(2000, 3, seed=rng)
-        survivor, _ = g.induced(rng.random(g.n) >= p)
+        graphs.append(g.induced(rng.random(g.n) >= p)[0])
+    # the simple part of percolated pairings in the tightness regime and
+    # just below the connectivity threshold
+    for seed, (n, d, alpha) in enumerate([(10_000, 3, 0.18), (10_000, 4, 0.2)], start=3):
+        cfg = sample_configuration(DegreeSequence.regular(n, d), seed=seed)
+        graphs.append(simple_part(project(percolate(cfg, DeletionParams(n, alpha=alpha, seed=seed)).survivor)))
+    for survivor in graphs:
         core = two_core(survivor)
         G = nx.Graph()
         G.add_nodes_from(range(survivor.n))
         G.add_edges_from(survivor.edges.tolist())
+        assert G.number_of_edges() == survivor.m
         ref = nx.k_core(G, 2)
         alive = np.zeros(survivor.n, dtype=bool)
         alive[list(ref.nodes)] = True
@@ -503,8 +518,8 @@ def shuffled(g: Multigraph, rng) -> Multigraph:
 
 def test_components_and_bushes_on_unordered_edge_lists():
     """The pipeline's edge lists come sorted by first end; a library caller
-    or `perclab analyze` may pass any order, which the component CSR must
-    not depend on."""
+    or `perclab analyze` may pass any order, which the component labels
+    must not depend on."""
     nx = pytest.importorskip("networkx")
     rng = np.random.default_rng(10)
     graphs = [Multigraph(0, []), Multigraph(6, [])]
@@ -528,6 +543,71 @@ def test_components_and_bushes_on_unordered_edge_lists():
         assert np.array_equal(bushes(h).labels, bushes(g).labels)
     assert kinds == {TREE, CYCLE, OTHER}
     assert any(np.any(g.edges[:, 0] == g.edges[:, 1]) for g in graphs)
+
+
+def scipy_components(n: int, edges: np.ndarray):
+    """The oracle: scipy's component search on the symmetric adjacency."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    mat = csr_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
+    return connected_components(mat, directed=False)
+
+
+def path_through(order: np.ndarray) -> tuple[int, np.ndarray]:
+    return order.size, np.column_stack([order[:-1], order[1:]])
+
+
+def cycle_through(order: np.ndarray) -> tuple[int, np.ndarray]:
+    return order.size, np.column_stack([order, np.roll(order, -1)])
+
+
+def zigzag(n: int) -> np.ndarray:
+    # 0, n-1, 1, n-2, ...
+    return np.column_stack([np.arange(n // 2), np.arange(n - 1, n // 2 - 1, -1)]).ravel()
+
+
+def binary_tree_reversed(n: int) -> tuple[int, np.ndarray]:
+    # vertex i's parent is (i - 1) // 2, then every label v becomes n-1-v
+    child = np.arange(1, n)
+    return n, n - 1 - np.column_stack([(child - 1) // 2, child])
+
+
+def percolated(n: int, d: int, alpha: float, seed: int) -> tuple[int, np.ndarray]:
+    cfg = sample_configuration(DegreeSequence.regular(n, d), seed=seed)
+    g = project(percolate(cfg, DeletionParams(n, alpha=alpha, seed=seed)).survivor)
+    return g.n, shuffled(g, np.random.default_rng(seed)).edges
+
+
+N_PATH = 100_000
+COMPONENT_CASES = {
+    "path sorted": lambda: path_through(np.arange(N_PATH)),
+    "path reversed": lambda: path_through(np.arange(N_PATH)[::-1]),
+    "path random": lambda: path_through(np.random.default_rng(0).permutation(N_PATH)),
+    "path zigzag": lambda: path_through(zigzag(N_PATH)),
+    "cycle random": lambda: cycle_through(np.random.default_rng(1).permutation(5000)),
+    "star, centre last": lambda: (1000, np.column_stack([np.arange(999), np.full(999, 999)])),
+    "binary tree reversed": lambda: binary_tree_reversed(4095),
+    "loops and parallel edges": lambda: (
+        7, np.array([[3, 3], [5, 1], [1, 5], [5, 1], [0, 0], [6, 4], [4, 6]])
+    ),
+    "no edges": lambda: (5, np.zeros((0, 2), dtype=np.int64)),
+    "empty": lambda: (0, np.zeros((0, 2), dtype=np.int64)),
+    "headline shape": lambda: percolated(10_000, 4, 0.5, 1),
+    "tight shape": lambda: percolated(10_000, 3, 0.18, 2),
+    "certify shape": lambda: percolated(10_000, 4, 0.5, 3),
+}
+
+
+@pytest.mark.parametrize("case", COMPONENT_CASES)
+def test_components_match_scipy(case):
+    n, edges = COMPONENT_CASES[case]()
+    ncomp, labels, sizes = _components(n, edges)
+    ref_count, ref_labels = scipy_components(n, edges)
+    assert ncomp == ref_count
+    assert labels.dtype == ref_labels.dtype and np.array_equal(labels, ref_labels)
+    assert np.array_equal(sizes, np.bincount(ref_labels, minlength=ref_count))
 
 
 # ---------------------------------------------------------------------------

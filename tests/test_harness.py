@@ -14,7 +14,6 @@ from perclab.harness import (
     ExperimentConfig,
     aggregate_records,
     csv_columns,
-    format_config,
     parse_config_text,
     read_config,
     run_experiment,
@@ -50,17 +49,30 @@ def test_K_effective_defaults_to_bush_bound():
     assert cfg2.K_effective == bush_bound_K(4, 0.2)
 
 
+# every key of a config file, each with a value other than its default
+CONFIG_TEXT = """\
+n = 400
+d = 4
+alpha = 0.4
+eta = 0.3
+trials = 3
+base_seed = 7
+mode = simple
+exhaustive_expansion = true
+"""
+
+
 def test_config_text_roundtrip():
-    cfg = small_config(eta=0.3, exhaustive_expansion=True)
-    back = parse_config_text(format_config(cfg))
-    assert back == cfg
+    cfg = small_config(eta=0.3, mode="simple", exhaustive_expansion=True)
+    assert parse_config_text(CONFIG_TEXT) == cfg
+    rate = CONFIG_TEXT.replace("alpha = 0.4\neta = 0.3", "p = 0.25")
+    assert parse_config_text(rate) == dataclasses.replace(cfg, alpha=None, eta=None, p=0.25)
 
 
 def test_config_file_roundtrip(tmp_path):
-    cfg = small_config()
     path = tmp_path / "exp.cfg"
-    path.write_text(format_config(cfg))
-    assert read_config(path) == cfg
+    path.write_text(CONFIG_TEXT)
+    assert read_config(path) == small_config(eta=0.3, mode="simple", exhaustive_expansion=True)
 
 
 def test_config_text_comments_and_errors():
@@ -75,6 +87,11 @@ def test_config_text_comments_and_errors():
     # K is always derived from eta (else alpha)
     with pytest.raises(ValueError, match="unknown key 'K'"):
         parse_config_text(text + "K = 3\n")
+    # n and d have no default
+    with pytest.raises(ValueError, match="lacks required key\\(s\\): d$"):
+        parse_config_text("n = 5\n")
+    with pytest.raises(ValueError, match="lacks required key\\(s\\): n, d$"):
+        parse_config_text("alpha = 0.5\n")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from perclab.pairing import (
     Multigraph,
     SamplingFailureError,
     canonical_edges,
-    double_factorial_odd,
     enumerate_matchings,
     format_configuration,
     format_multigraph,
@@ -66,14 +65,10 @@ def test_offsets_partition_points():
 # counting oracles
 
 
-def test_double_factorial_odd_values():
-    # (2m-1)!! for m = 0..5: 1, 1, 3, 15, 105, 945
-    assert [double_factorial_odd(m) for m in range(6)] == [1, 1, 3, 15, 105, 945]
-
-
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_enumeration_count_matches_double_factorial(m):
-    assert len(enumerate_matchings(2 * m)) == double_factorial_odd(m)
+    # (2m-1)!! = 1 * 3 * ... * (2m-1) perfect matchings of 2m points
+    assert len(enumerate_matchings(2 * m)) == math.prod(range(1, 2 * m, 2))
 
 
 def test_enumeration_keys_are_distinct_involutions():

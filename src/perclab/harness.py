@@ -26,7 +26,8 @@ from perclab.pairing import (
     sample_configuration,
     sample_simple_regular,
 )
-from perclab.percolation import DeletionParams, apply_deletion, choose_deletion_set
+# run_trial never calls apply_deletion; perfbench/worker.py wraps harness.apply_deletion.
+from perclab.percolation import DeletionParams, apply_deletion, choose_deletion_set  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -125,14 +126,21 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
 
     rejections = 0
     if config.mode == "simple":
-        cfg, _, rejections = sample_simple_regular(config.n, config.d, rng)
+        _, full, rejections = sample_simple_regular(config.n, config.d, rng)
     else:
-        cfg = sample_configuration(DegreeSequence.regular(config.n, config.d), rng)
+        full = project(sample_configuration(DegreeSequence.regular(config.n, config.d), rng))
 
+    # Deleting a bucket removes every pair that touches it, so deletion
+    # commutes with projection: the induced subgraph on the survivors is
+    # project(apply_deletion(cfg, deleted).survivor), row for row.
     params = DeletionParams(config.n, alpha=config.alpha, p=config.p, seed=rng)
     prob = params.prob
-    outcome = apply_deletion(cfg, choose_deletion_set(params))
-    graph = project(outcome.survivor)
+    deleted = choose_deletion_set(params)
+    alive = np.ones(config.n, dtype=bool)
+    alive[deleted] = False
+    graph, _ = full.induced(alive)
+    del full  # frees the unpercolated edges before decompose sets the memory peak
+    census = np.bincount(graph.degree, minlength=config.d + 1)
 
     dec = decompose(graph)
     comp = dec.components
@@ -166,8 +174,8 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
         d=config.d,
         alpha=config.alpha,
         p=prob,
-        r=outcome.r,
-        census=tuple(int(x) for x in outcome.census),
+        r=int(deleted.size),
+        census=tuple(int(x) for x in census),
         mu=mu,
         giant_size=comp.giant_size,
         n_components=comp.n_components,

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 DEFAULT_RETRY_CAP = 10_000
+MAX_VERTICES = 2**31 - 1  # the int32 label bound
 
 
 class InvalidDegreeSequenceError(ValueError):
@@ -160,9 +161,8 @@ class Multigraph:
     @property
     def degree(self) -> np.ndarray:
         if self._degree is None:
-            d = np.bincount(self.edges[:, 0], minlength=self.n)
-            d += np.bincount(self.edges[:, 1], minlength=self.n)
-            self._degree = d.astype(np.int64)
+            d = np.bincount(self.edges.ravel(), minlength=self.n)
+            self._degree = d.astype(np.int64, copy=False)
         return self._degree
 
     def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -205,7 +205,7 @@ class Multigraph:
         relabel[labels] = np.arange(labels.size, dtype=np.int64)
         e = self.edges
         sel = mask[e[:, 0]] & mask[e[:, 1]]
-        return Multigraph(labels.size, relabel[np.compress(sel, e, axis=0)]), labels
+        return Multigraph(labels.size, np.take(relabel, np.compress(sel, e, axis=0))), labels
 
     def __eq__(self, other):
         if not isinstance(other, Multigraph):
@@ -275,7 +275,7 @@ def sample_configuration(seq: DegreeSequence, seed=None) -> Configuration:
 
 def project(config: Configuration) -> Multigraph:
     """Collapse buckets to vertices; keeps multiplicities and loops."""
-    return Multigraph(config.n, config.seq.bucket_of_point[config.pairs])
+    return Multigraph(config.n, np.take(config.seq.bucket_of_point, config.pairs))
 
 
 def sample_simple_regular(
@@ -415,6 +415,10 @@ def parse_multigraph(text: str) -> Multigraph:
     if not lines:
         raise ValueError("empty multigraph text")
     n = int(lines[0])
+    # component labels are int32 (decomposition._components), and every
+    # stage sizes arrays by n, so refuse the count before anything does
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count n={n} outside 0..{MAX_VERTICES}")
     edges = []
     for ln in lines[1:]:
         u, v = (int(x) for x in ln.split())

@@ -174,6 +174,18 @@ def test_module_entry_rejects_negative_vertex_count(tmp_path, command):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("count", ["100000000000000000000", "3000000000"])
+def test_module_entry_rejects_vertex_count_past_int32(tmp_path, count):
+    # the first is outside int64, the second would size a 22 GiB array
+    bad = tmp_path / "bad.txt"
+    bad.write_text(count + "\n")
+    proc = run_module("analyze", "-i", str(bad))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert f"n={count}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_expansion_has_no_limit_option(tmp_path):
     # the exact search is capped at 20 vertices; a 40-cycle would need 2^40 subsets
     ring = tmp_path / "ring40.txt"

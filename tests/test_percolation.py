@@ -100,6 +100,48 @@ def test_projection_commutes_with_deletion(n):
         assert np.array_equal(out.census, np.bincount(h.degree, minlength=out.census.size))
 
 
+def assert_delete_after_project(cfg, deleted):
+    """harness.run_trial's path, projecting first and then taking the
+    induced subgraph on the survivors, against apply_deletion + project."""
+    alive = np.ones(cfg.n, dtype=bool)
+    alive[deleted] = False
+    got = project(cfg).induced(alive)[0]
+    out = apply_deletion(cfg, deleted)
+    want = project(out.survivor)
+    assert got.n == want.n
+    assert got.edges.dtype == want.edges.dtype
+    assert np.array_equal(got.edges, want.edges)
+    d = int(cfg.seq.degrees.max())
+    assert np.array_equal(np.bincount(got.degree, minlength=d + 1), out.census)
+
+
+@pytest.mark.parametrize("degrees", [(2, 2, 2, 2), (3, 1, 0, 2, 2)])
+def test_delete_after_project_on_crit_11_corpora(degrees):
+    # every pairing times every deletion set, as acceptance.deletion_uniformity
+    seq = DegreeSequence(np.array(degrees))
+    for key in enumerate_matchings(seq.total_points):
+        cfg = Configuration(seq, np.array(key).reshape(-1, 2))
+        for r in range(seq.n + 1):
+            for deleted in combinations(range(seq.n), r):
+                assert_delete_after_project(cfg, np.array(deleted, dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "d, alpha, seed",
+    [(4, 0.5, 1), (3, 0.18, 2), (4, 0.5, 3)],
+    ids=["headline_1e6", "tight_d3", "certify_1e4"],
+)
+def test_delete_after_project_at_workload_shapes(d, alpha, seed):
+    # n = 10^4 pairings at the benchmark's shapes: no deletion, a draw at
+    # the workload's rate, and every bucket deleted
+    n = 10_000
+    rng = np.random.default_rng(seed)
+    cfg = sample_configuration(DegreeSequence.regular(n, d), seed=rng)
+    drawn = choose_deletion_set(DeletionParams(n, alpha=alpha, seed=rng))
+    for deleted in [np.zeros(0, dtype=np.int64), drawn, np.arange(n)]:
+        assert_delete_after_project(cfg, deleted)
+
+
 def test_delete_nothing_is_identity():
     cfg = sample_configuration(DegreeSequence.regular(20, 3), seed=4)
     out = apply_deletion(cfg, np.zeros(0, dtype=np.int64))

@@ -1,4 +1,4 @@
-"""Experiment harness: sample, delete, decompose, certify, aggregate.
+"""Experiment harness: sample, project, delete, decompose, certify, aggregate.
 
 One trial is fully determined by (config, base_seed + trial_index); every
 stage draws from a single per-trial generator, so reports are identical

@@ -79,40 +79,30 @@ def test_deletion_matches_hand_relabelling_exhaustively(degrees):
                 assert out.survivor.pairs.tolist() == want_pairs
 
 
+def assert_delete_after_project(cfg, deleted):
+    """Deleting after projecting, as harness.run_trial does, against
+    apply_deletion then project: the same graph row for row, the same
+    labels and the census of that graph's degrees."""
+    alive = np.ones(cfg.n, dtype=bool)
+    alive[deleted] = False
+    got, labels = project(cfg).induced(alive)
+    out = apply_deletion(cfg, deleted)
+    want = project(out.survivor)
+    assert got.n == want.n
+    assert got.edges.dtype == want.edges.dtype and np.array_equal(got.edges, want.edges)
+    assert np.array_equal(labels, out.bucket_map)
+    d = int(cfg.seq.degrees.max())
+    assert np.array_equal(np.bincount(got.degree, minlength=d + 1), out.census)
+
+
 @pytest.mark.parametrize("n", [40, 1000, 30_000])
 def test_projection_commutes_with_deletion(n):
-    # deleting buckets then projecting gives the projection's induced
-    # subgraph row for row, and the census counts that graph's degrees
     rng = np.random.default_rng(n)
     degrees = rng.integers(0, 6, size=n)
     degrees[0] += degrees.sum() % 2
     cfg = sample_configuration(DegreeSequence(degrees), seed=rng)
-    g = project(cfg)
     for deleted in [[], np.flatnonzero(rng.random(n) < 0.3), np.arange(n)]:
-        dead = np.zeros(n, dtype=bool)
-        dead[deleted] = True
-        out = apply_deletion(cfg, deleted)
-        h = project(out.survivor)
-        want, labels = g.induced(~dead)
-        assert h.edges.dtype == want.edges.dtype and np.array_equal(h.edges, want.edges)
-        assert np.array_equal(out.bucket_map, labels)
-        assert out.census.size == degrees.max() + 1
-        assert np.array_equal(out.census, np.bincount(h.degree, minlength=out.census.size))
-
-
-def assert_delete_after_project(cfg, deleted):
-    """harness.run_trial's path, projecting first and then taking the
-    induced subgraph on the survivors, against apply_deletion + project."""
-    alive = np.ones(cfg.n, dtype=bool)
-    alive[deleted] = False
-    got = project(cfg).induced(alive)[0]
-    out = apply_deletion(cfg, deleted)
-    want = project(out.survivor)
-    assert got.n == want.n
-    assert got.edges.dtype == want.edges.dtype
-    assert np.array_equal(got.edges, want.edges)
-    d = int(cfg.seq.degrees.max())
-    assert np.array_equal(np.bincount(got.degree, minlength=d + 1), out.census)
+        assert_delete_after_project(cfg, np.asarray(deleted, dtype=np.int64))
 
 
 @pytest.mark.parametrize("degrees", [(2, 2, 2, 2), (3, 1, 0, 2, 2)])

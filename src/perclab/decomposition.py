@@ -16,7 +16,7 @@ several times faster than boolean indexing does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -187,95 +187,130 @@ def _members(labels: np.ndarray, sizes: np.ndarray, which: np.ndarray) -> list[n
 class Kernel:
     """Branch vertices with degree-2 chains collapsed to weighted edges.
 
+    labels are the core's branch vertices (degree >= 3).  chain_labels[i]
+    is the chain component of the degree-2 vertex chain_verts[i], and
+    chain_sizes[c] the vertex count of component c: a path component is
+    the interior of one kernel edge, a closed one (is_cycle) is a pure
+    cycle and no part of the kernel.  The run counts read only these
+    arrays.  graph, internal and cycles are built on first access:
     graph.edges[i] spans labels[.] with internal[i] suppressed degree-2
-    vertices in between; chains that close on themselves without meeting
-    a branch vertex are pure cycles, listed in ``cycles`` (vertex arrays)
-    and excluded from the kernel.
+    vertices in between, and cycles holds each pure cycle's vertices.
     """
 
-    graph: Multigraph
+    core: Multigraph
     labels: np.ndarray
-    internal: np.ndarray
-    cycles: list[np.ndarray]
+    chain_verts: np.ndarray
+    chain_labels: np.ndarray
+    chain_sizes: np.ndarray
+    is_cycle: np.ndarray
+    _edges: tuple | None = field(default=None, init=False, repr=False)
+
+    @property
+    def cycle_count(self) -> int:
+        return int(np.count_nonzero(self.is_cycle))
 
     @property
     def cycle_lengths(self) -> np.ndarray:
-        return np.array([len(c) for c in self.cycles], dtype=np.int64)
+        return self.chain_sizes[self.is_cycle]
+
+    @property
+    def cycles(self) -> list[np.ndarray]:
+        which = np.flatnonzero(self.is_cycle)
+        return [self.chain_verts[c] for c in _members(self.chain_labels, self.chain_sizes, which)]
 
     @property
     def longest_run(self) -> int:
         """Longest maximal degree-2 run: a chain's internal vertices, or
         L-1 for a pure cycle of length L."""
-        return max(int(self.internal.max(initial=0)), int(self.cycle_lengths.max(initial=1)) - 1)
+        paths = self.chain_sizes[~self.is_cycle]
+        return max(int(paths.max(initial=0)), int(self.cycle_lengths.max(initial=1)) - 1)
 
     def runs_at_least(self, k: int) -> int:
         """Number of maximal degree-2 runs of length >= k, counted as in
         longest_run."""
         if k < 1:
             raise ValueError("run length must be >= 1")
-        return int(np.count_nonzero(self.internal >= k) + np.count_nonzero(self.cycle_lengths > k))
+        paths = self.chain_sizes[~self.is_cycle]
+        return int(np.count_nonzero(paths >= k) + np.count_nonzero(self.cycle_lengths > k))
+
+    @property
+    def graph(self) -> Multigraph:
+        return self._kernel_edges()[0]
+
+    @property
+    def internal(self) -> np.ndarray:
+        return self._kernel_edges()[1]
+
+    def _kernel_edges(self) -> tuple[Multigraph, np.ndarray]:
+        """Direct edges (two branch ends) in edge order with internal 0,
+        then one edge per chain by component, between the branch ends of
+        the chain's two exit edges (edges with one branch end)."""
+        if self._edges is not None:
+            return self._edges
+        core, edges = self.core, self.core.edges
+        two = core.degree == 2
+        t0, t1 = two[edges[:, 0]], two[edges[:, 1]]
+        direct = ~(t0 | t1)
+        nd = int(np.count_nonzero(direct))
+
+        # exit edges as (branch end, chain end); a stable sort on the
+        # chain's component puts each chain's two exits side by side
+        leaving = t0 ^ t1
+        exits = np.compress(leaving, edges, axis=0)
+        ex = np.where(t1[leaving][:, None], exits, exits[:, ::-1])
+        ex_comp = self.chain_labels[np.searchsorted(self.chain_verts, ex[:, 1])]
+        order = np.argsort(ex_comp, kind="stable")
+        ends = ex[order, 0].reshape(-1, 2)
+        chain_comp = ex_comp[order][0::2]
+
+        # one allocation: direct edges, then one edge per chain, relabelled
+        # in place (take's "raise" mode buffers a copy; no index here is
+        # clipped)
+        kidx = np.full(core.n, -1, dtype=np.int64)
+        kidx[self.labels] = np.arange(self.labels.size, dtype=np.int64)
+        kedge = np.empty((nd + len(ends), 2), dtype=np.int64)
+        np.take(edges, np.flatnonzero(direct), axis=0, out=kedge[:nd], mode="clip")
+        kedge[nd:] = ends
+        np.take(kidx, kedge, out=kedge, mode="clip")
+        internal = np.zeros(len(kedge), dtype=np.int64)
+        internal[nd:] = self.chain_sizes[chain_comp]
+
+        # conservation: every core edge is a kernel edge, lies inside a
+        # chain, or lies on a pure cycle
+        assert kedge.shape[0] + int(internal.sum()) + int(self.cycle_lengths.sum()) == core.m
+        self._edges = (Multigraph(self.labels.size, kedge), internal)
+        return self._edges
 
 
 def kernel(core: Multigraph) -> Kernel:
     """Suppress degree-2 chains of a graph with min degree >= 2.
 
-    The degree-2 vertices split into components: a path is the interior
-    of one chain and leaves through exactly two exit edges (edges with one
-    branch endpoint), a component without exit edges is a pure cycle.
-    Edges between two branch vertices are kernel edges with no interior.
+    Only the chain components are found here: the graph on the degree-2
+    vertices has maximum degree 2, so each of its components is a path
+    (size - 1 edges), the interior of one chain, or a cycle (size edges),
+    a pure cycle of the core.  The kernel's edge list is left to
+    Kernel.graph.
     """
-    n, m = core.n, core.m
+    n = core.n
     deg = core.degree
     if n and int(deg.min()) < 2:
         raise ValueError("kernel is defined for minimum degree >= 2 (peel first)")
-    edges = core.edges
-    branch = deg >= 3
-    kverts = np.flatnonzero(branch)
-    kidx = np.full(n, -1, dtype=np.int64)
-    kidx[kverts] = np.arange(kverts.size, dtype=np.int64)
-
-    b0, b1 = branch[edges[:, 0]], branch[edges[:, 1]]
-    direct = b0 & b1
-    nd = int(np.count_nonzero(direct))
-
-    # components of the graph on the degree-2 vertices alone
-    chain_verts = np.flatnonzero(~branch)
-    cidx = np.full(n, -1, dtype=np.int64)
-    cidx[chain_verts] = np.arange(chain_verts.size, dtype=np.int64)
-    chain_edges = np.compress(~(b0 | b1), edges, axis=0)
-    ncomp, comp, sizes = _components(chain_verts.size, cidx[chain_edges])
-
-    # exit edges, (branch end, chain end); a stable sort on the chain's
-    # component puts each chain's two exits side by side
-    leaving = b0 ^ b1
-    exits = np.compress(leaving, edges, axis=0)
-    ex = np.where(b0[leaving][:, None], exits, exits[:, ::-1])
-    ex_comp = comp[cidx[ex[:, 1]]]
-    order = np.argsort(ex_comp, kind="stable")
-    ends = ex[order, 0].reshape(-1, 2)
-    chain_comp = ex_comp[order][0::2]
-
-    # one allocation: direct edges, then one edge per chain, relabelled in
-    # place (take's "raise" mode buffers a copy; no index here is clipped)
-    kedge = np.empty((nd + len(ends), 2), dtype=np.int64)
-    np.take(edges, np.flatnonzero(direct), axis=0, out=kedge[:nd], mode="clip")
-    kedge[nd:] = ends
-    np.take(kidx, kedge, out=kedge, mode="clip")
-    internal = np.zeros(len(kedge), dtype=np.int64)
-    internal[nd:] = sizes[chain_comp]
-
-    is_cycle = np.ones(ncomp, dtype=bool)
-    is_cycle[ex_comp] = False
-    cycles = [chain_verts[c] for c in _members(comp, sizes, np.flatnonzero(is_cycle))]
-
-    cyc_total = int(sizes[is_cycle].sum())
-    # conservation: every core vertex is a branch vertex, an internal chain
-    # vertex, or on a pure cycle; ditto edges
-    assert kverts.size + int(internal.sum()) + cyc_total == n
-    assert kedge.shape[0] + int(internal.sum()) + cyc_total == m
-
-    kgraph = Multigraph(kverts.size, kedge)
-    return Kernel(graph=kgraph, labels=kverts, internal=internal, cycles=cycles)
+    two = deg == 2
+    chain_verts = np.flatnonzero(two)
+    # a row's two end flags read as one uint16, 0x0101 when both ends have
+    # degree 2; one gather over the contiguous edge list
+    both = np.take(two, core.edges).view(np.uint16)[:, 0] == 0x0101
+    inner = np.searchsorted(chain_verts, np.compress(both, core.edges, axis=0))
+    ncomp, comp, sizes = _components(chain_verts.size, inner)
+    is_cycle = np.bincount(comp[inner[:, 0]], minlength=ncomp) == sizes
+    return Kernel(
+        core=core,
+        labels=np.flatnonzero(~two),
+        chain_verts=chain_verts,
+        chain_labels=comp,
+        chain_sizes=sizes,
+        is_cycle=is_cycle,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +426,8 @@ def classify_components(g: Multigraph) -> ComponentReport:
     size-1, a cycle when edges == size and every degree is 2, else other.
     """
     ncomp, labels, sizes = _components(g.n, g.edges)
-    edge_counts = np.bincount(labels[g.edges[:, 0]], minlength=ncomp)
+    # a component's degrees sum to twice its edge count, loops included
+    edge_counts = np.bincount(labels, weights=g.degree, minlength=ncomp).astype(np.int64) // 2
     off_two = np.bincount(labels[g.degree != 2], minlength=ncomp)
     kinds = np.full(ncomp, OTHER, dtype=np.int8)
     kinds[edge_counts == sizes - 1] = TREE
@@ -399,9 +435,10 @@ def classify_components(g: Multigraph) -> ComponentReport:
 
     giant_label, giant_size = None, 0
     if ncomp:
-        giant_size = int(sizes.max())
-        # first vertex living in a maximum-size component decides the tie
-        giant_label = int(labels[np.flatnonzero(sizes[labels] == giant_size)[0]])
+        # labels follow smallest vertices, so the first maximum is the
+        # component holding the first vertex of any maximum-size one
+        giant_label = int(np.argmax(sizes))
+        giant_size = int(sizes[giant_label])
         kinds[giant_label] = GIANT
     return ComponentReport(
         n_components=int(ncomp),
@@ -432,7 +469,7 @@ class Decomposition:
 
     @property
     def kernel_size(self) -> int:
-        return self.kernel.graph.n
+        return int(self.kernel.labels.size)
 
     @property
     def core_census(self) -> np.ndarray:
@@ -473,6 +510,9 @@ class Decomposition:
 
 
 def decompose(g: Multigraph) -> Decomposition:
+    # components first, so that their working arrays are freed before the
+    # peel and the kernel allocate theirs
+    components = classify_components(g)
     core = two_core(g)
     core_g, core_labels = core.subgraph()
     return Decomposition(
@@ -481,5 +521,5 @@ def decompose(g: Multigraph) -> Decomposition:
         core_labels=core_labels,
         kernel=kernel(core_g),
         bushes=bushes(g, core),
-        components=classify_components(g),
+        components=components,
     )

@@ -187,7 +187,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
         two_core_size=dec.two_core_size,
         core_census=tuple(int(x) for x in dec.core_census),
         kernel_size=dec.kernel_size,
-        core_cycle_count=len(dec.kernel.cycles),
+        core_cycle_count=dec.kernel.cycle_count,
         longest_deg2_run=dec.longest_deg2_run,
         deg2_paths_ge2=dec.kernel.runs_at_least(2),
         rejections=rejections,

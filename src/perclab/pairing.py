@@ -115,7 +115,11 @@ class Configuration:
         u, v = pairs[:, 0], pairs[:, 1]
         if np.any(u >= v) or np.any(u[1:] <= u[:-1]):
             raise ValueError("pairs are not in canonical order (u < v, rows by increasing u)")
-        if np.any(np.bincount(pairs.ravel(), minlength=t) != 1):
+        # 2m ids in 0..2m-1 cover every point exactly when none repeats
+        seen = np.zeros(t, dtype=bool)
+        seen[u] = True
+        seen[v] = True
+        if not seen.all():
             raise ValueError("a point is matched more than once")
 
     @property
@@ -270,11 +274,19 @@ def sample_configuration(seq: DegreeSequence, seed=None) -> Configuration:
     pairs = np.empty((first.size, 2), dtype=np.int64)
     pairs[:, 0] = first
     pairs[:, 1] = partner[first]
+    del perm, partner, first  # not alive while the Configuration is checked
     return Configuration(seq, pairs)
 
 
 def project(config: Configuration) -> Multigraph:
-    """Collapse buckets to vertices; keeps multiplicities and loops."""
+    """Collapse buckets to vertices; keeps multiplicities and loops.
+
+    When every bucket holds d > 0 points, point p lies in bucket p // d,
+    which a division gives without the point-to-bucket table."""
+    deg = config.seq.degrees
+    d = int(deg[0]) if deg.size else 0
+    if d > 0 and np.all(deg == d):
+        return Multigraph(config.n, config.pairs // d)
     return Multigraph(config.n, np.take(config.seq.bucket_of_point, config.pairs))
 
 

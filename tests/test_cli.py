@@ -116,17 +116,17 @@ def test_analyze_rejects_bucket_label_out_of_range(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def run_python(*argv):
+def run_python(*argv, **kwargs):
     src = str(Path(perclab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env
+        [sys.executable, *argv], capture_output=True, text=True, env=env, **kwargs
     )
 
 
-def run_module(*argv):
-    return run_python("-m", "perclab", *argv)
+def run_module(*argv, **kwargs):
+    return run_python("-m", "perclab", *argv, **kwargs)
 
 
 def test_import_leaves_scipy_stats_unloaded():
@@ -183,6 +183,23 @@ def test_module_entry_rejects_vertex_count_past_int32(tmp_path, count):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert f"n={count}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_module_entry_reports_running_out_of_memory(tmp_path):
+    # a count inside the int32 bound still sizes 8 GiB arrays; the child
+    # alone gets a 2 GiB address-space limit, so the allocation fails
+    resource = pytest.importorskip("resource")
+    limit = 2 * 1024**3
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    big = tmp_path / "big.txt"
+    big.write_text("2147483647\n")
+    proc = run_module("analyze", "-i", str(big), preexec_fn=cap_address_space, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: out of memory")
     assert "Traceback" not in proc.stderr
 
 

@@ -233,6 +233,36 @@ def test_kernel_conservation_random():
             assert int(k.graph.degree.min()) >= 3
 
 
+def kernel_reference(core: Multigraph):
+    """The eager kernel that built every edge list up front: (kernel
+    edges, internal, cycles), for the lazy one to match exactly."""
+    from perclab.decomposition import _members
+
+    n, edges = core.n, core.edges
+    branch = core.degree >= 3
+    kverts = np.flatnonzero(branch)
+    kidx = np.full(n, -1, dtype=np.int64)
+    kidx[kverts] = np.arange(kverts.size)
+    b0, b1 = branch[edges[:, 0]], branch[edges[:, 1]]
+    direct = b0 & b1
+    chain_verts = np.flatnonzero(~branch)
+    cidx = np.full(n, -1, dtype=np.int64)
+    cidx[chain_verts] = np.arange(chain_verts.size)
+    ncomp, comp, sizes = _components(chain_verts.size, cidx[edges[~(b0 | b1)]])
+    leaving = b0 ^ b1
+    ex = np.where(b0[leaving][:, None], edges[leaving], edges[leaving][:, ::-1])
+    ex_comp = comp[cidx[ex[:, 1]]]
+    order = np.argsort(ex_comp, kind="stable")
+    kedge = kidx[np.concatenate([edges[direct], ex[order, 0].reshape(-1, 2)])]
+    internal = np.concatenate(
+        [np.zeros(int(direct.sum()), dtype=np.int64), sizes[ex_comp[order][0::2]]]
+    )
+    is_cycle = np.ones(ncomp, dtype=bool)
+    is_cycle[ex_comp] = False
+    cycles = [chain_verts[c] for c in _members(comp, sizes, np.flatnonzero(is_cycle))]
+    return kedge, internal, cycles
+
+
 @st.composite
 def subdivided_multigraph(draw):
     """A multigraph H with min degree >= 3 (loops and parallel edges
@@ -286,6 +316,30 @@ def test_kernel_recovers_subdivided_graph(case):
     assert sorted(k.internal.tolist()) == sorted(c for _, c in kernel_edges)
     assert sorted(k.cycle_lengths.tolist()) == sorted(len(c) for c in cycle_sets)
     assert sorted(sorted(c.tolist()) for c in k.cycles) == sorted(cycle_sets)
+    kedge, internal, cycles = kernel_reference(g)
+    assert np.array_equal(k.graph.edges, kedge) and np.array_equal(k.internal, internal)
+    assert len(k.cycles) == len(cycles)
+    assert all(np.array_equal(a, b) for a, b in zip(k.cycles, cycles))
+
+
+@pytest.mark.parametrize(
+    "n, d, alpha, seed", [(10_000, 3, 0.18, 0), (10_000, 3, 0.18, 1), (10_000, 4, 0.5, 2),
+                          (10_000, 4, 0.2, 3), (3000, 3, 0.12, 4), (3000, 3, 0.18, 33)]
+)
+def test_kernel_edges_are_built_on_first_use(n, d, alpha, seed):
+    g = Multigraph(*percolated(n, d, alpha, seed))
+    dec = decompose(g)
+    k = dec.kernel
+    assert k._edges is None  # decompose and the run counts build no edge list
+    core_g, _ = dec.core.subgraph()
+    kedge, internal, cycles = kernel_reference(core_g)
+    assert k.longest_run >= 0 and k.runs_at_least(2) >= 0 and k._edges is None
+    assert dec.kernel_size == k.graph.n == len(k.labels)
+    assert k.graph.edges.dtype == np.int64 and np.array_equal(k.graph.edges, kedge)
+    assert np.array_equal(k.internal, internal)
+    assert len(k.cycles) == k.cycle_count == len(cycles)
+    assert all(np.array_equal(a, b) for a, b in zip(k.cycles, cycles))
+    assert k.graph is k.graph  # built once
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +424,26 @@ def test_classify_mixed():
     assert rep.max_isolated_tree_size == 2
     assert rep.other_count == 1
     assert sorted(rep.other_comps[0].tolist()) == [5, 6, 7, 8]
+
+
+def test_classify_counts_loops_and_parallel_edges():
+    # a component's edges are half its degree sum, a loop counting once
+    nx = pytest.importorskip("networkx")
+    edges = [
+        [0, 1], [1, 2], [2, 3], [3, 4], [4, 5],  # giant: a 6-path
+        [6, 6],  # a lone loop: a cycle of length 1
+        [7, 8], [8, 7],  # a double edge: a cycle of length 2
+        [9, 9], [9, 9],  # two loops at one vertex: other
+        [10, 11], [11, 10], [10, 11],  # a triple edge: other
+        [12, 13], [13, 14], [14, 12], [12, 12],  # a triangle with a loop: other
+        [15, 16], [16, 17],  # a tree
+        [18, 19], [19, 19],  # an edge with a loop at its end: other
+    ]
+    g = Multigraph(21, np.array(edges))
+    expect = assert_components_match_networkx(nx, g)
+    assert [len(expect[kind]) for kind in (TREE, CYCLE, OTHER)] == [2, 2, 4]
+    rep = classify_components(g)
+    assert rep.kinds.tolist() == [GIANT, CYCLE, CYCLE, OTHER, OTHER, OTHER, TREE, OTHER, TREE]
 
 
 def test_lone_cycle_is_the_giant():

@@ -129,6 +129,9 @@ def test_sampled_pairs_are_canonical():
         ([[2, 3], [0, 1], [4, 5]], "canonical"),  # rows not by increasing u
         ([[1, 0], [2, 3], [4, 5]], "canonical"),  # u > v within a row
         ([[0, 1], [1, 2], [3, 4]], "more than once"),  # point 1 twice, 5 never
+        ([[0, 2], [1, 2], [3, 4]], "more than once"),  # point 2 twice as v, 5 never
+        ([[0, 5], [1, 2], [3, 5]], "more than once"),  # point 5 twice as v, 4 never
+        ([[0, 3], [1, 2], [3, 4]], "more than once"),  # point 3 as v and as u, 5 never
         ([[0, 1], [2, 3], [4, 6]], "out of range"),
         ([[-1, 0], [2, 3], [4, 5]], "out of range"),
     ],
@@ -189,6 +192,22 @@ def test_empty_pairing():
 
 # ---------------------------------------------------------------------------
 # projection and simplicity
+
+
+@pytest.mark.parametrize(
+    "degs",
+    [[d] * n for d in range(1, 6) for n in (2, 7, 40) if n * d % 2 == 0]
+    + [[0, 3, 0, 1, 4, 0], [2, 0, 0, 2], [0, 0, 5, 1], [1, 1, 0], [0], [], [0, 0]],
+)
+def test_project_matches_point_to_bucket_gather(degs):
+    # regular sequences divide point ids by d; the rest gather the table
+    seq = DegreeSequence(np.array(degs, dtype=np.int64))
+    for seed in range(3):
+        cfg = sample_configuration(seq, seed=seed)
+        g = project(cfg)
+        expect = np.take(seq.bucket_of_point, cfg.pairs)
+        assert g.edges.dtype == np.int64 and g.edges.shape == expect.shape
+        assert np.array_equal(g.edges, expect)
 
 
 def test_projection_loop_and_parallel():

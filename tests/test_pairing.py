@@ -129,11 +129,11 @@ def test_sampled_pairs_are_canonical():
         ([[2, 3], [0, 1], [4, 5]], "canonical"),  # rows not by increasing u
         ([[1, 0], [2, 3], [4, 5]], "canonical"),  # u > v within a row
         ([[0, 1], [1, 2], [3, 4]], "more than once"),  # point 1 twice, 5 never
+        ([[0, 1], [2, 3], [4, 6]], "out of range"),
+        ([[-1, 0], [2, 3], [4, 5]], "out of range"),
         ([[0, 2], [1, 2], [3, 4]], "more than once"),  # point 2 twice as v, 5 never
         ([[0, 5], [1, 2], [3, 5]], "more than once"),  # point 5 twice as v, 4 never
         ([[0, 3], [1, 2], [3, 4]], "more than once"),  # point 3 as v and as u, 5 never
-        ([[0, 1], [2, 3], [4, 6]], "out of range"),
-        ([[-1, 0], [2, 3], [4, 5]], "out of range"),
     ],
 )
 def test_configuration_rejects_noncanonical_pairs(pairs, message):

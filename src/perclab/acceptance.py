@@ -16,7 +16,7 @@ import resource
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 from scipy.special import chdtrc
@@ -42,6 +42,7 @@ from perclab.pairing import (
     SamplingFailureError,
     enumerate_matchings,
     matching_key,
+    pair_off,
     project,
     sample_configuration,
     sample_simple_regular,
@@ -277,38 +278,30 @@ def crit_01_sampler_uniformity(ctx) -> CriterionResult:
             f"p={mt['pvalue']:.4f} (need > {UNIFORMITY_LEVEL:g})",
             f"{mt['observed_categories']}/15 categories seen",
         ],
-        secs,
     )
 
 
 def crit_02_pair_probability(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
-    seq = DegreeSequence.regular(6, 2)  # 12 points, m = 6
-    rng = np.random.default_rng(ctx.seed)
-    samples = 100_000
-    hits = 0
-    for _ in range(samples):
-        c = sample_configuration(seq, rng)
-        hits += int(c.pairs[0, 1] == 1)
-    freq = hits / samples
-    target = 1.0 / 11.0
-    sigma = math.sqrt(target * (1 - target) / samples)
-    passed = abs(freq - target) <= 4 * sigma
+    # every order of the 2m = 8 points gives each of the 105 pairings 2^m m! =
+    # 384 times and holds the pair (0, 1) in 8!/(2m-1) = 5760 of them
+    counts = Counter(matching_key(pair_off(np.array(order))) for order in permutations(range(8)))
+    pair_01 = sum(c for key, c in counts.items() if key[0] == (0, 1))
+    passed = (
+        sorted(counts) == enumerate_matchings(8) and set(counts.values()) == {384} and pair_01 == 5760
+    )
     return CriterionResult(
         2,
-        "fixed-pair frequency matches 1/(2m-1) = 1/11 (m=6)",
+        "pair_off maps the 8! point orders evenly onto the 105 pairings (m=4, exact)",
         passed,
         [
-            f"freq={freq:.5f}",
-            f"target={target:.5f}",
-            f"|dev|={abs(freq-target)/sigma:.2f} sigma (need <= 4)",
+            f"{len(counts)}/105 pairings, each {min(counts.values())}..{max(counts.values())} times "
+            "(need 384)",
+            f"pair (0, 1) in {pair_01} orders (need 8!/7 = 5760)",
         ],
-        time.perf_counter() - t0,
     )
 
 
 def crit_03_degree_census(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
     rep = ctx.batch("regime_a")
     mean_census = rep.aggregate["mean_census"]
     mu3 = rep.predictions["mu"][3]
@@ -327,12 +320,10 @@ def crit_03_degree_census(ctx) -> CriterionResult:
             f"N_0=0 in {zero_n0:.0%} of trials (need >= 99%)",
             f"batch built in {build:.1f}s (need < 60)",
         ],
-        time.perf_counter() - t0,
     )
 
 
 def crit_04_giant_and_trees(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
     rep = ctx.batch("regime_a")
     K = rep.config.K_effective
     good = [
@@ -345,12 +336,10 @@ def crit_04_giant_and_trees(ctx) -> CriterionResult:
         f"giant component plus trees of <= K={K} buckets",
         frac >= 0.95,
         [f"giant >= 0.99(n-r) and non-giant trees <= {K} in {frac:.0%} (need >= 95%)"],
-        time.perf_counter() - t0,
     )
 
 
 def crit_05_bush_bound(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
     rep = ctx.batch("regime_a")
     K = rep.config.K_effective
     frac = float(np.mean([r.max_bush_size <= K for r in rep.records]))
@@ -360,12 +349,10 @@ def crit_05_bush_bound(ctx) -> CriterionResult:
         f"no bush exceeds K={K} buckets",
         frac >= 0.95,
         [f"within bound in {frac:.0%} (need >= 95%)", f"largest bush seen: {biggest}"],
-        time.perf_counter() - t0,
     )
 
 
 def crit_06_two_core(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
     rep = ctx.batch("regime_a")
     K = rep.config.K_effective
     t_ok = all(r.two_core_size >= 0.98 * r.n_survivors for r in rep.records)
@@ -381,12 +368,10 @@ def crit_06_two_core(ctx) -> CriterionResult:
             f"no isolated core cycles in {cyc:.0%} (need >= 95%)",
             f"longest degree-2 run <= {K} in {run:.0%} (need >= 90%)",
         ],
-        time.perf_counter() - t0,
     )
 
 
 def crit_07_regime_c_connectivity(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
     rep = ctx.batch("regime_c")
     frac = rep.aggregate["fraction_connected"]
     return CriterionResult(
@@ -394,12 +379,10 @@ def crit_07_regime_c_connectivity(ctx) -> CriterionResult:
         "survivor connected at alpha=0.4 >= 1/3 (d=4, n=1e5)",
         frac >= 0.90,
         [f"connected in {frac:.0%} of 50 trials (need >= 90%)"],
-        time.perf_counter() - t0,
     )
 
 
 def crit_08_regime_b_isolation(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
     rep = ctx.batch("regime_b")
     iso = rep.aggregate["fraction_nongiant_isolated_only"]
     cap = float(rep.config.n) ** (1.0 / 3.0)
@@ -424,12 +407,10 @@ def crit_08_regime_b_isolation(ctx) -> CriterionResult:
             f"model: {iso_edges:.2f} isolated edges per trial, so a trial passes with "
             f"p~{q:.2f} and {trials} trials reach 90% with p~{batch_ok:.2f}",
         ],
-        time.perf_counter() - t0,
     )
 
 
 def crit_09_tightness_runs(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
     rep = ctx.batch("tightness")
     have_run = [r.longest_deg2_run >= 4 for r in rep.records]
     frac = float(np.mean(have_run))
@@ -447,12 +428,10 @@ def crit_09_tightness_runs(ctx) -> CriterionResult:
             f"run of length >= 4 in {frac:.0%} of trials (need >= 80%)",
             f"reported upper bound <= 2/3 on those trials: {bound_ok}",
         ],
-        time.perf_counter() - t0,
     )
 
 
 def crit_10_oracles(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
     peel_ok = 0
     graphs = ctx.small_graphs(1000)
     for g in graphs:
@@ -490,12 +469,10 @@ def crit_10_oracles(ctx) -> CriterionResult:
             f"spectral <= exact <= run bound on {bracket_ok}/{len(corpus)} "
             f"connected graphs ({checked_path} with an applicable run bound)",
         ],
-        time.perf_counter() - t0,
     )
 
 
 def crit_11_deletion_uniformity(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
     du = deletion_uniformity()
     details = [f"equal counts in {du['groups'] - du['failed_groups']}/{du['groups']} groups"]
     if du["first_failure"]:
@@ -506,12 +483,10 @@ def crit_11_deletion_uniformity(ctx) -> CriterionResult:
         "survivor pairing uniform given deleted buckets and degrees (exact)",
         du["passed"],
         details,
-        time.perf_counter() - t0,
     )
 
 
 def crit_12_reinstatement(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
     n, d, alpha, trials = 10_000, 4, 0.9, 200
     p_direct = float(n) ** -alpha
     p1 = float(n) ** -0.75
@@ -549,12 +524,10 @@ def crit_12_reinstatement(ctx) -> CriterionResult:
             f"beta/2-expansion held in {exp_ok}/{len(cases)} oracle cases",
             f"subset inequality held in {chain_ok}/{len(cases)}",
         ],
-        time.perf_counter() - t0,
     )
 
 
 def crit_13_diameter(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
     pool = []
     for g in ctx.connected_graphs(500):
         pool.append((g, exact_vertex_expansion(g).value))
@@ -579,12 +552,10 @@ def crit_13_diameter(ctx) -> CriterionResult:
         "diameter <= 2 log_{1+beta}(n/2) + 2 on every expanding small graph",
         checked > 0 and held == checked,
         [f"held on {held}/{checked} graphs with exact beta > 0"],
-        time.perf_counter() - t0,
     )
 
 
 def crit_14_performance(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
     rec = run_trial(
         ExperimentConfig(n=1_000_000, d=4, alpha=0.5, base_seed=ctx.seed), 0
     )
@@ -600,7 +571,6 @@ def crit_14_performance(ctx) -> CriterionResult:
             f"process peak rss {peak_gb:.2f} GB (need < 2)",
             f"giant={rec.giant_size}, core={rec.two_core_size}",
         ],
-        time.perf_counter() - t0,
     )
 
 
@@ -623,13 +593,19 @@ CRITERIA = [
 
 
 def run_criteria(ids=None, ctx=None, stream=None) -> list:
-    """Run the battery (all of it, or the listed 1-based ids)."""
+    """Run the battery (all of it, or the listed 1-based ids), timing each
+    criterion."""
+    unknown = sorted(set(ids or ()) - set(range(1, len(CRITERIA) + 1)))
+    if unknown:
+        raise ValueError(f"unknown criterion id(s) {unknown}; valid ids are 1..{len(CRITERIA)}")
     ctx = ctx or AcceptanceContext()
     results = []
     for i, fn in enumerate(CRITERIA, start=1):
         if ids is not None and i not in ids:
             continue
+        t0 = time.perf_counter()
         res = fn(ctx)
+        res.seconds = time.perf_counter() - t0
         results.append(res)
         if stream is not None:
             print(res.line(), file=stream, flush=True)

@@ -14,14 +14,9 @@ import sys
 
 from perclab import theory
 from perclab.acceptance import deletion_uniformity, matching_uniformity, run_criteria
-from perclab.decomposition import decompose, kernel, two_core
+from perclab.decomposition import decompose
 from perclab.expansion import certify
-from perclab.harness import (
-    ExperimentConfig,
-    read_config,
-    run_experiment,
-    write_csv,
-)
+from perclab.harness import read_config, run_experiment, write_csv
 from perclab.pairing import (
     SamplingFailureError,
     parse_configuration,
@@ -95,11 +90,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_expansion(args) -> int:
     g = _graph_from_text(_read_input_text(args.input))
-    run = None
-    core = two_core(g)
-    if core.size:
-        core_g, _ = core.subgraph()
-        run = kernel(core_g).longest_run
+    run = decompose(g).kernel.longest_run
     cert = certify(g, exact=not args.bounds, longest_run=run, seed=args.seed)
     _write_output(json.dumps(cert.to_dict(), indent=1, sort_keys=True) + "\n", args.output)
     return 0

@@ -41,26 +41,23 @@ class TwoCore:
     def size(self) -> int:
         return int(np.count_nonzero(self.alive))
 
-    def census(self, d_max: int | None = None) -> np.ndarray:
-        """N'_0..N'_d over core vertices (entries below 2 are always 0)."""
-        if d_max is None:
-            d_max = int(self.parent.degree.max()) if self.parent.n else 0
+    def census(self) -> np.ndarray:
+        """N'_0..N'_d over core vertices, d the parent's maximum degree
+        (entries below 2 are always 0)."""
+        d_max = int(self.parent.degree.max()) if self.parent.n else 0
         counts = np.bincount(self.degrees[self.alive], minlength=d_max + 1)
         return counts.astype(np.int64)
 
     def subgraph(self) -> tuple[Multigraph, np.ndarray]:
         """(core as its own graph with compacted labels, original labels).
 
-        When nothing was peeled the core is the parent itself, which is
-        returned as is (with its cached degree and adjacency).
+        The core's edges are exactly the parent's edges between core
+        vertices.  When nothing was peeled the core is the parent itself,
+        which is returned as is (with its cached degree and adjacency).
         """
-        labels = np.flatnonzero(self.alive)
-        if labels.size == self.parent.n:
-            return self.parent, labels
-        relabel = np.full(self.parent.n, -1, dtype=np.int64)
-        relabel[labels] = np.arange(labels.size, dtype=np.int64)
-        edges = relabel[np.compress(self.edge_mask, self.parent.edges, axis=0)]
-        return Multigraph(labels.size, edges), labels
+        if self.alive.all():
+            return self.parent, np.arange(self.parent.n, dtype=np.int64)
+        return self.parent.induced(self.alive)
 
 
 def two_core(g: Multigraph) -> TwoCore:
@@ -464,47 +461,28 @@ class Decomposition:
     components: ComponentReport
 
     @property
-    def two_core_size(self) -> int:
-        return self.core.size
-
-    @property
-    def kernel_size(self) -> int:
-        return int(self.kernel.labels.size)
-
-    @property
-    def core_census(self) -> np.ndarray:
-        return self.core.census()
-
-    @property
-    def longest_deg2_run(self) -> int:
-        return self.kernel.longest_run
-
-    @property
     def core_cycles(self) -> list[np.ndarray]:
         """Pure-cycle components of the 2-core, in parent labels."""
         return [self.core_labels[c] for c in self.kernel.cycles]
-
-    @property
-    def max_bush_size(self) -> int:
-        return self.bushes.max_size
 
     def report(self) -> dict:
         comp = self.components
         return {
             "n": self.graph.n,
             "m": self.graph.m,
-            "two_core_size": self.two_core_size,
-            "kernel_size": self.kernel_size,
-            "core_census": self.core_census.tolist(),
+            "two_core_size": self.core.size,
+            "kernel_size": int(self.kernel.labels.size),
+            "core_census": self.core.census().tolist(),
             "bushes": [
                 {"vertices": (v + 1).tolist(), "root": None if r < 0 else int(r) + 1}
                 for v, r in zip(self.bushes.vertices(), self.bushes.roots)
             ],
             "isolated_trees": [(c + 1).tolist() for c in comp.tree_comps],
             "isolated_cycles": [(c + 1).tolist() for c in comp.cycle_comps],
+            "other_components": [(c + 1).tolist() for c in comp.other_comps],
             "core_cycles": [(c + 1).tolist() for c in self.core_cycles],
             "giant_size": comp.giant_size,
-            "longest_deg2_run": self.longest_deg2_run,
+            "longest_deg2_run": self.kernel.longest_run,
             "connected": comp.connected,
         }
 

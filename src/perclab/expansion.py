@@ -24,7 +24,6 @@ from perclab.decomposition import _components
 from perclab.pairing import Multigraph, canonical_edges
 
 EXHAUSTIVE_LIMIT = 20
-DENSE_EIG_LIMIT = 64
 LANCZOS_TOL = 1e-8  # relative Ritz residual at which Lanczos stops
 LANCZOS_MAX_STEPS = 10_000  # operator applications before it gives up
 
@@ -220,11 +219,12 @@ def spectral_lower_bound(g: Multigraph, seed=0) -> SpectralBound:
     Disconnected graphs report 0 with the flag down; on fewer than 2
     vertices lambda2 does not exist and the bound is vacuously 0.
 
-    "Certified" holds up to solver error: above DENSE_EIG_LIMIT vertices,
-    lambda2 = 1 - theta for a Lanczos Ritz value theta, which never exceeds
-    the reflected operator's top eigenvalue in exact arithmetic; the Ritz
-    residual is at most LANCZOS_TOL * max(|theta|, eps^(2/3)).  The start
-    vector, one ``standard_normal(n)`` draw from ``seed``, is the only draw.
+    "Certified" holds up to solver error: lambda2 = 1 - theta for a
+    Lanczos Ritz value theta, which never exceeds the reflected operator's
+    top eigenvalue in exact arithmetic; the Ritz residual is at most
+    LANCZOS_TOL * max(|theta|, eps^(2/3)).  The Krylov space is invariant
+    within n steps, so small graphs stop early.  The start vector, one
+    ``standard_normal(n)`` draw from ``seed``, is the only draw.
     """
     n = g.n
     if n < 2:
@@ -233,26 +233,19 @@ def spectral_lower_bound(g: Multigraph, seed=0) -> SpectralBound:
     if int(deg.min()) == 0 or _components(n, g.edges)[0] > 1:
         return SpectralBound(0.0, 0.0, False)
     S = _normalized_adjacency(g)
+    # S has top eigenpair (1, u) with u = sqrt(deg / vol).  The reflection
+    # S - 2uu^T sends it to -1 and keeps every other eigenpair, so its top
+    # eigenvalue is 1 - lambda2.  (Deflating to S - uu^T would leave a 0
+    # that outranks 1 - lambda2 whenever lambda2 > 1, as on complete graphs.)
+    u = np.sqrt(deg / float(deg.sum()))
 
-    if n <= DENSE_EIG_LIMIT:
-        lap = np.eye(n) - S.toarray()
-        evals = np.linalg.eigvalsh(lap)
-        lam2 = float(max(evals[1], 0.0))
-    else:
-        # S has top eigenpair (1, u) with u = sqrt(deg / vol).  The
-        # reflection S - 2uu^T sends it to -1 and keeps every other
-        # eigenpair, so its top eigenvalue is 1 - lambda2.  (Deflating to
-        # S - uu^T would leave a 0 that outranks 1 - lambda2 whenever
-        # lambda2 > 1, as on complete graphs.)
-        u = np.sqrt(deg / float(deg.sum()))
+    def reflected(x):
+        y = S @ x
+        y -= (2.0 * (u @ x)) * u
+        return y
 
-        def reflected(x):
-            y = S @ x
-            y -= (2.0 * (u @ x)) * u
-            return y
-
-        theta = _top_eigenvalue(reflected, np.random.default_rng(seed).standard_normal(n))
-        lam2 = float(max(1.0 - theta, 0.0))
+    theta = _top_eigenvalue(reflected, np.random.default_rng(seed).standard_normal(n))
+    lam2 = float(max(1.0 - theta, 0.0))
     value = 0.5 * lam2 * float(deg.min()) / float(deg.max())
     return SpectralBound(value, lam2, True)
 
@@ -356,14 +349,14 @@ def reinstatement_expansion_check(
     cert = min(bp_frac, Fraction(2))
     passed = bh_frac >= cert / 2
 
-    nbr_sets = ghat.neighbor_sets()
-    degs_W = sorted(len(nbr_sets[int(w)]) for w in W)
-    d_eff = d if d is not None else degs_W[0]
+    nbr_bits = _neighbor_bits(ghat)
+    # the fewest distinct neighbours of a vertex of W
+    d_eff = d if d is not None else int(_popcount(nbr_bits[W]).min())
 
     wbits = np.int64(0)
     for w in W:
         wbits |= np.int64(1) << int(w)
-    masks, sizes, nbrs = _subset_tables(n, _neighbor_bits(ghat))
+    masks, sizes, nbrs = _subset_tables(n, nbr_bits)
     in_w = _popcount(masks & wbits)
     rest = sizes - in_w
     heavy = (in_w > rest) & (sizes <= n // 2)

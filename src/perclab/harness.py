@@ -151,10 +151,11 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
         mu = tuple(theory.mu_all(mp))
 
     beta_exact = beta_lower = beta_upper = lambda2 = diameter = None
-    beta_upper = path_upper_bound(dec.longest_deg2_run, graph.n)
+    longest_run = dec.kernel.longest_run
+    beta_upper = path_upper_bound(longest_run, graph.n)
     if config.exhaustive_expansion:
         if graph.n <= EXHAUSTIVE_LIMIT:
-            cert = certify(graph, longest_run=dec.longest_deg2_run, seed=rng)
+            cert = certify(graph, longest_run=longest_run, seed=rng)
             beta_exact = cert.exact_beta
             beta_lower = cert.lower_bound
             lambda2 = cert.lambda2
@@ -183,12 +184,12 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
         max_tree_size=comp.max_isolated_tree_size,
         cycle_component_count=comp.isolated_cycle_count,
         other_component_count=comp.other_count,
-        max_bush_size=dec.max_bush_size,
-        two_core_size=dec.two_core_size,
-        core_census=tuple(int(x) for x in dec.core_census),
-        kernel_size=dec.kernel_size,
+        max_bush_size=dec.bushes.max_size,
+        two_core_size=dec.core.size,
+        core_census=tuple(int(x) for x in dec.core.census()),
+        kernel_size=int(dec.kernel.labels.size),
         core_cycle_count=dec.kernel.cycle_count,
-        longest_deg2_run=dec.longest_deg2_run,
+        longest_deg2_run=longest_run,
         deg2_paths_ge2=dec.kernel.runs_at_least(2),
         rejections=rejections,
         beta_exact=beta_exact,
@@ -212,7 +213,7 @@ class ExperimentReport:
     aggregate: dict
     predictions: dict | None
 
-    def to_dict(self, strip_runtime: bool = False) -> dict:
+    def to_dict(self) -> dict:
         recs = []
         for r in self.records:
             d = {}
@@ -222,12 +223,8 @@ class ExperimentReport:
                 else:
                     val = _json_safe(val)
                 d[key] = val
-            if strip_runtime:
-                d["runtime_ms"] = 0.0
             recs.append(d)
         agg = {k: _json_safe(v) for k, v in self.aggregate.items()}
-        if strip_runtime:
-            agg.pop("mean_runtime_ms", None)
         return {
             "config": asdict(self.config),
             "records": recs,
@@ -235,10 +232,8 @@ class ExperimentReport:
             "predictions": self.predictions,
         }
 
-    def to_json(self, strip_runtime: bool = False) -> str:
-        return json.dumps(
-            self.to_dict(strip_runtime), sort_keys=True, indent=1, allow_nan=False
-        )
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=1, allow_nan=False)
 
 
 def _json_safe(x):

@@ -183,27 +183,12 @@ class Multigraph:
             self._adj = (indptr, dst[order], eid[order])
         return self._adj
 
-    def neighbor_sets(self) -> list[set[int]]:
-        """Distinct neighbors, loops ignored.  Small graphs only."""
-        out = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            if u != v:
-                out[int(u)].add(int(v))
-                out[int(v)].add(int(u))
-        return out
-
-    def induced(self, keep: np.ndarray) -> tuple["Multigraph", np.ndarray]:
-        """Subgraph on ``keep`` (bool mask or label array), labels compacted.
+    def induced(self, mask: np.ndarray) -> tuple["Multigraph", np.ndarray]:
+        """Subgraph on the vertices of the bool ``mask``, labels compacted.
 
         Returns the subgraph and the array of original labels, so that new
         label i corresponds to original label labels[i] (order preserving).
         """
-        keep = np.asarray(keep)
-        if keep.dtype != bool:
-            mask = np.zeros(self.n, dtype=bool)
-            mask[keep] = True
-        else:
-            mask = keep
         labels = np.flatnonzero(mask)
         relabel = np.full(self.n, -1, dtype=np.int64)
         relabel[labels] = np.arange(labels.size, dtype=np.int64)
@@ -265,17 +250,24 @@ def sample_configuration(seq: DegreeSequence, seed=None) -> Configuration:
     which is how multi-stage pipelines stay on one stream).
     """
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(seq.total_points)
+    # the permutation and pair_off's work arrays are freed when it returns,
+    # so they are not alive while the Configuration is checked
+    pairs = pair_off(rng.permutation(seq.total_points))
+    return Configuration(seq, pairs)
+
+
+def pair_off(order: np.ndarray) -> np.ndarray:
+    """Canonical pairs of the points order[0], order[1] | order[2],
+    order[3] | ..., for ``order`` a permutation of 0..t-1 with t even."""
     # file each pair under its smaller point; partner is nonzero exactly
     # there, since a larger point is at least 1
-    partner = np.zeros(seq.total_points, dtype=np.int64)
-    partner[np.minimum(perm[0::2], perm[1::2])] = np.maximum(perm[0::2], perm[1::2])
+    partner = np.zeros(order.size, dtype=np.int64)
+    partner[np.minimum(order[0::2], order[1::2])] = np.maximum(order[0::2], order[1::2])
     first = np.flatnonzero(partner)
     pairs = np.empty((first.size, 2), dtype=np.int64)
     pairs[:, 0] = first
     pairs[:, 1] = partner[first]
-    del perm, partner, first  # not alive while the Configuration is checked
-    return Configuration(seq, pairs)
+    return pairs
 
 
 def project(config: Configuration) -> Multigraph:

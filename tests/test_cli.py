@@ -99,6 +99,22 @@ def test_analyze_accepts_outcome_and_edge_list(tmp_path, capsys):
     assert rep2["giant_size"] == 4
 
 
+def test_analyze_lists_every_piece(tmp_path, capsys):
+    # the graph of test_classify_mixed: the giant path 0..4, a triangle
+    # with a tail (neither tree nor cycle), a 3-cycle and two trees
+    edges = tmp_path / "mixed.txt"
+    edges.write_text(format_multigraph(Multigraph(15, np.array([
+        [0, 1], [1, 2], [2, 3], [3, 4], [5, 6], [6, 7], [7, 5], [5, 8],
+        [9, 10], [10, 11], [11, 9], [12, 13],
+    ]))))
+    code, stdout, _ = run_cli(capsys, "analyze", "-i", str(edges))
+    assert code == 0
+    rep = json.loads(stdout)
+    assert rep["other_components"] == [[6, 7, 8, 9]]
+    pieces = rep["isolated_trees"] + rep["isolated_cycles"] + rep["other_components"]
+    assert rep["giant_size"] + sum(len(c) for c in pieces) == rep["n"]
+
+
 def test_analyze_rejects_malformed_input(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("definitely not a graph\n")
@@ -321,6 +337,13 @@ def test_uniformity_with_no_samples_fails(capsys):
         assert code == 1
         assert stdout == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_verify_rejects_unknown_criterion(capsys):
+    code, stdout, err = run_cli(capsys, "verify", "--criteria", "2,99")
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error:") and "99" in err and "1..14" in err
 
 
 def test_missing_subcommand_is_usage_error(capsys):

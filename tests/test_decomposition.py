@@ -334,7 +334,7 @@ def test_kernel_edges_are_built_on_first_use(n, d, alpha, seed):
     core_g, _ = dec.core.subgraph()
     kedge, internal, cycles = kernel_reference(core_g)
     assert k.longest_run >= 0 and k.runs_at_least(2) >= 0 and k._edges is None
-    assert dec.kernel_size == k.graph.n == len(k.labels)
+    assert k.graph.n == len(k.labels)
     assert k.graph.edges.dtype == np.int64 and np.array_equal(k.graph.edges, kedge)
     assert np.array_equal(k.internal, internal)
     assert len(k.cycles) == k.cycle_count == len(cycles)
@@ -690,11 +690,11 @@ def test_components_match_scipy(case):
 
 def test_decompose_triangle_with_tail():
     dec = decompose(triangle_with_tail())
-    assert dec.two_core_size == 3
-    assert dec.kernel_size == 0
-    assert dec.longest_deg2_run == 2  # the core is a 3-cycle: run 3-1
+    assert dec.core.size == 3
+    assert dec.kernel.labels.size == 0
+    assert dec.kernel.longest_run == 2  # the core is a 3-cycle: run 3-1
     assert [sorted(c.tolist()) for c in dec.core_cycles] == [[0, 1, 2]]
-    assert dec.max_bush_size == 3
+    assert dec.bushes.max_size == 3
     rep = dec.report()
     assert rep["n"] == 6
     assert rep["two_core_size"] == 3
@@ -707,7 +707,7 @@ def test_decompose_triangle_with_tail():
 def test_decompose_empty_graph():
     g = Multigraph(0, np.zeros((0, 2), dtype=np.int64))
     dec = decompose(g)
-    assert dec.two_core_size == 0
+    assert dec.core.size == 0
     assert dec.report()["giant_size"] == 0
 
 

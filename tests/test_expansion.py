@@ -18,7 +18,6 @@ from perclab.pairing import DegreeSequence, Multigraph, sample_configuration, pr
 from perclab.decomposition import classify_components, kernel, two_core
 from perclab.percolation import DeletionParams, apply_deletion, choose_deletion_set
 from perclab.expansion import (
-    DENSE_EIG_LIMIT,
     certify,
     diameter_check,
     distance_matrix,
@@ -321,7 +320,7 @@ def test_exact_searches_refuse_more_than_twenty_vertices():
 
 
 # ---------------------------------------------------------------------------
-# the sparse eigensolver path (n > DENSE_EIG_LIMIT) against dense answers
+# the Lanczos eigensolver against dense answers
 
 
 def dense_lambda2(g: Multigraph) -> float:
@@ -342,13 +341,36 @@ def random_pairing_graph(n: int, d: int, seed) -> Multigraph:
 def test_sparse_spectral_matches_dense(case):
     rng = np.random.default_rng(1000 + case)
     d = (3, 4, 5)[case % 3]
-    n = int(rng.integers(DENSE_EIG_LIMIT + 2, 401))
+    n = int(rng.integers(66, 401))
     n += (n * d) % 2
     g = random_pairing_graph(n, d, rng)
     sp = spectral_lower_bound(g, seed=case)
     assert sp.connected
     assert sp.lambda2 == pytest.approx(dense_lambda2(g), abs=1e-9)
     assert sp.value == pytest.approx(0.5 * sp.lambda2 * g.degree.min() / g.degree.max())
+
+
+def connected_pairing_graph(n: int, rng) -> Multigraph:
+    d = 3 + n % 2  # n * d even
+    while True:
+        g = random_pairing_graph(n, d, rng)
+        if classify_components(g).connected:
+            return g
+
+
+SMALL_GRAPHS = {
+    "K4": k4(),
+    "petersen": petersen(),
+    "double-edge": Multigraph(2, np.array([[0, 1], [0, 1]])),
+    **{f"pairing-{n}": connected_pairing_graph(n, np.random.default_rng(n)) for n in range(2, 65)},
+}
+
+
+@pytest.mark.parametrize("name", SMALL_GRAPHS)
+def test_small_spectral_matches_dense(name):
+    # Lanczos runs at every size: its Krylov space is invariant within n steps
+    g = SMALL_GRAPHS[name]
+    assert spectral_lower_bound(g).lambda2 == pytest.approx(dense_lambda2(g), abs=1e-9)
 
 
 def test_sparse_spectral_on_complete_graph():

@@ -38,7 +38,7 @@ EIGENSOLVER_FIELDS = ("lambda2", "beta_lower")
 
 def records(config: dict) -> list[dict]:
     """JSON-ready records of one configuration, without runtime_ms."""
-    recs = run_experiment(ExperimentConfig(**config)).to_dict(strip_runtime=True)["records"]
+    recs = run_experiment(ExperimentConfig(**config)).to_dict()["records"]
     for rec in recs:
         del rec["runtime_ms"]
     return recs

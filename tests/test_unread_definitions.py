@@ -28,23 +28,23 @@ ALLOWED = {
 def definitions():
     """(qualified name, name) of every def and class in src/perclab."""
     out = []
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                out.append((f"{prefix}.{child.name}", child.name))
+                walk(child, f"{prefix}.{child.name}")
+            else:
+                walk(child, prefix)
+
     for path in sorted(PACKAGE.glob("*.py")):
-
-        def walk(node, prefix):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    out.append((f"{prefix}.{child.name}", child.name))
-                    walk(child, f"{prefix}.{child.name}")
-                else:
-                    walk(child, prefix)
-
         walk(ast.parse(path.read_text()), path.stem)
     return out
 
 
 def occurrences():
-    """Name tokens and words inside strings over src/perclab and perfbench,
-    with one count taken off for each definition of the name."""
+    """Counts of name tokens and of words inside strings over src/perclab
+    and perfbench, leaving out the name that a def or class defines."""
     counts = Counter()
     for path in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
         tokens = list(tokenize.generate_tokens(io.StringIO(path.read_text()).readline))

@@ -16,6 +16,7 @@ import resource
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, permutations
 
 import numpy as np
@@ -43,6 +44,7 @@ from perclab.pairing import (
     enumerate_matchings,
     matching_key,
     pair_off,
+    pair_probability,
     project,
     sample_configuration,
     sample_simple_regular,
@@ -72,116 +74,107 @@ class CriterionResult:
         return f"{mark}  [{self.cid:2d}] {self.title}: {detail} ({self.seconds:.1f}s)"
 
 
+# batch name -> (d, alpha) of its n = 10^5, 50-trial experiment
+BATCHES = {
+    "regime_a": (4, 0.5),
+    "regime_c": (4, 0.4),
+    "regime_b": (4, 0.2),
+    "tightness": (3, 0.18),
+}
+
+
+def _random_multigraph(rng, min_n: int, max_n: int, min_degree: int):
+    """Projected pairing on min_n..max_n buckets of random degree
+    min_degree..4, one degree raised by one when the sum is odd."""
+    n = int(rng.integers(min_n, max_n + 1))
+    degs = rng.integers(min_degree, 5, size=n).astype(np.int64)
+    if int(degs.sum()) % 2:
+        degs[int(rng.integers(n))] += 1
+    return project(sample_configuration(DegreeSequence(degs), rng))
+
+
 class AcceptanceContext:
-    """Lazily built shared inputs (trial batches, graph corpora)."""
+    """Shared inputs (trial batches, graph corpora), each built once on first use."""
 
     def __init__(self, seed: int = ACCEPT_SEED):
         self.seed = seed
-        self._cache: dict = {}
+        self._batches: dict = {}
         self.batch_seconds: dict = {}
 
     def batch(self, key: str) -> object:
-        if key not in self._cache:
-            configs = {
-                "regime_a": ExperimentConfig(
-                    n=100_000, d=4, alpha=0.5, trials=50, base_seed=self.seed
-                ),
-                "regime_c": ExperimentConfig(
-                    n=100_000, d=4, alpha=0.4, trials=50, base_seed=self.seed
-                ),
-                "regime_b": ExperimentConfig(
-                    n=100_000, d=4, alpha=0.2, trials=50, base_seed=self.seed
-                ),
-                "tightness": ExperimentConfig(
-                    n=100_000, d=3, alpha=0.18, trials=50, base_seed=self.seed
-                ),
-            }
+        if key not in self._batches:
+            d, alpha = BATCHES[key]
+            config = ExperimentConfig(n=100_000, d=d, alpha=alpha, trials=50, base_seed=self.seed)
             t0 = time.perf_counter()
-            self._cache[key] = run_experiment(configs[key])
+            self._batches[key] = run_experiment(config)
             self.batch_seconds[key] = time.perf_counter() - t0
-        return self._cache[key]
+        return self._batches[key]
 
-    def small_graphs(self, count: int = 1000) -> list:
-        """Random multigraphs on <= 12 buckets, mixed degree sequences."""
-        key = ("small", count)
-        if key not in self._cache:
-            rng = np.random.default_rng(self.seed + 1)
-            out = []
-            while len(out) < count:
-                n = int(rng.integers(2, 13))
-                degs = rng.integers(0, 5, size=n).astype(np.int64)
-                if int(degs.sum()) % 2:
-                    degs[int(rng.integers(n))] += 1
-                g = project(sample_configuration(DegreeSequence(degs), rng))
-                out.append(g)
-            self._cache[key] = out
-        return self._cache[key]
+    @cached_property
+    def small_graphs(self) -> list:
+        """1000 random multigraphs on <= 12 buckets."""
+        rng = np.random.default_rng(self.seed + 1)
+        return [_random_multigraph(rng, 2, 12, 0) for _ in range(1000)]
 
-    def connected_graphs(self, count: int = 500) -> list:
-        """Random connected multigraphs on <= 16 buckets, min degree >= 1."""
-        key = ("connected", count)
-        if key not in self._cache:
-            rng = np.random.default_rng(self.seed + 2)
-            out = []
-            while len(out) < count:
-                n = int(rng.integers(4, 17))
-                degs = rng.integers(1, 5, size=n).astype(np.int64)
-                if int(degs.sum()) % 2:
-                    degs[int(rng.integers(n))] += 1
-                g = project(sample_configuration(DegreeSequence(degs), rng))
-                if classify_components(g).connected:
-                    out.append(g)
-            self._cache[key] = out
-        return self._cache[key]
+    @cached_property
+    def connected_graphs(self) -> list:
+        """(graph, exact beta, 2-core graph or None, the core's exact beta) for
+        500 random connected multigraphs on <= 16 buckets, min degree >= 1."""
+        rng = np.random.default_rng(self.seed + 2)
+        cases = []
+        while len(cases) < 500:
+            g = _random_multigraph(rng, 4, 16, 1)
+            if not classify_components(g).connected:
+                continue
+            core = two_core(g)
+            core_g = core.subgraph()[0] if core.size else None
+            core_beta = None if core_g is None else exact_vertex_expansion(core_g).value
+            cases.append((g, exact_vertex_expansion(g).value, core_g, core_beta))
+        return cases
 
-    def reinstatement_cases(self, count: int = 200) -> list:
-        """(gprime, W, ghat, check_result) on simple cubic graphs with W
+    @cached_property
+    def reinstatement_cases(self) -> list:
+        """(gprime, W, ghat, check_result) for 200 simple cubic graphs with W
         pairwise at distance >= 3."""
-        key = ("reinstate", count)
-        if key not in self._cache:
-            rng = np.random.default_rng(self.seed + 3)
-            cases = []
-            while len(cases) < count:
-                n = int(rng.choice([12, 14, 16]))
-                try:
-                    _, ghat, _ = sample_simple_regular(n, 3, rng, retry_cap=200)
-                except SamplingFailureError:
-                    continue
-                dist = distance_matrix(ghat)
-                if math.isinf(dist.max()):
-                    continue
-                order = rng.permutation(n)
-                W = [int(order[0])]
-                for v in order[1:]:
-                    if all(dist[v, w] >= 3 for w in W):
-                        W.append(int(v))
-                        if len(W) == 2:
-                            break
-                keep = np.ones(n, dtype=bool)
-                keep[W] = False
-                gprime, _ = ghat.induced(keep)
-                res = reinstatement_expansion_check(gprime, W, ghat, d=3)
-                cases.append((gprime, tuple(W), ghat, res))
-            self._cache[key] = cases
-        return self._cache[key]
+        rng = np.random.default_rng(self.seed + 3)
+        cases = []
+        while len(cases) < 200:
+            n = int(rng.choice([12, 14, 16]))
+            try:
+                _, ghat, _ = sample_simple_regular(n, 3, rng, retry_cap=200)
+            except SamplingFailureError:
+                continue
+            dist = distance_matrix(ghat)
+            if math.isinf(dist.max()):
+                continue
+            order = rng.permutation(n)
+            W = [int(order[0])]
+            for v in order[1:]:
+                if all(dist[v, w] >= 3 for w in W):
+                    W.append(int(v))
+                    if len(W) == 2:
+                        break
+            keep = np.ones(n, dtype=bool)
+            keep[W] = False
+            gprime, _ = ghat.induced(keep)
+            res = reinstatement_expansion_check(gprime, W, ghat)
+            cases.append((gprime, tuple(W), ghat, res))
+        return cases
 
-    def small_survivors(self, count: int = 100) -> list:
-        """(graph, exact_beta) for small percolated survivors."""
-        key = ("survivors", count)
-        if key not in self._cache:
-            out = []
-            for i in range(count):
-                rng = np.random.default_rng(self.seed + 1000 + i)
-                cfg = sample_configuration(DegreeSequence.regular(18, 4), rng)
-                params = DeletionParams(18, alpha=0.3, seed=rng)
-                outcome = apply_deletion(cfg, choose_deletion_set(params))
-                g = project(outcome.survivor)
-                if g.n == 0:
-                    continue
-                ev = exact_vertex_expansion(g)
-                out.append((g, ev.value))
-            self._cache[key] = out
-        return self._cache[key]
+    @cached_property
+    def small_survivors(self) -> list:
+        """(graph, exact beta) for the nonempty survivors of 100 percolated
+        4-regular pairings on 18 buckets."""
+        out = []
+        for i in range(100):
+            rng = np.random.default_rng(self.seed + 1000 + i)
+            cfg = sample_configuration(DegreeSequence.regular(18, 4), rng)
+            params = DeletionParams(18, alpha=0.3, seed=rng)
+            outcome = apply_deletion(cfg, choose_deletion_set(params))
+            g = project(outcome.survivor)
+            if g.n:
+                out.append((g, exact_vertex_expansion(g).value))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +276,13 @@ def crit_01_sampler_uniformity(ctx) -> CriterionResult:
 
 def crit_02_pair_probability(ctx) -> CriterionResult:
     # every order of the 2m = 8 points gives each of the 105 pairings 2^m m! =
-    # 384 times and holds the pair (0, 1) in 8!/(2m-1) = 5760 of them
+    # 384 times, and the pair (0, 1) occurs in 8! P((0, 1) paired) of them
     counts = Counter(matching_key(pair_off(np.array(order))) for order in permutations(range(8)))
     pair_01 = sum(c for key, c in counts.items() if key[0] == (0, 1))
+    want_01 = round(math.factorial(8) * pair_probability(4, 1))
     passed = (
-        sorted(counts) == enumerate_matchings(8) and set(counts.values()) == {384} and pair_01 == 5760
+        sorted(counts) == enumerate_matchings(8) and set(counts.values()) == {384}
+        and pair_01 == want_01
     )
     return CriterionResult(
         2,
@@ -296,7 +291,7 @@ def crit_02_pair_probability(ctx) -> CriterionResult:
         [
             f"{len(counts)}/105 pairings, each {min(counts.values())}..{max(counts.values())} times "
             "(need 384)",
-            f"pair (0, 1) in {pair_01} orders (need 8!/7 = 5760)",
+            f"pair (0, 1) in {pair_01} orders (need 8! pair_probability(4, 1) = {want_01})",
         ],
     )
 
@@ -433,7 +428,7 @@ def crit_09_tightness_runs(ctx) -> CriterionResult:
 
 def crit_10_oracles(ctx) -> CriterionResult:
     peel_ok = 0
-    graphs = ctx.small_graphs(1000)
+    graphs = ctx.small_graphs
     for g in graphs:
         tc = two_core(g)
         if np.array_equal(tc.alive, two_core_bruteforce(g)):
@@ -441,22 +436,16 @@ def crit_10_oracles(ctx) -> CriterionResult:
 
     bracket_ok = 0
     checked_path = 0
-    corpus = ctx.connected_graphs(500)
-    for g in corpus:
-        ev = exact_vertex_expansion(g)
-        sp = spectral_lower_bound(g)
-        ok = sp.value <= ev.value + 1e-9
-        core = two_core(g)
-        if ok and core.size:
-            core_g, _ = core.subgraph()
-            ev_c = exact_vertex_expansion(core_g)
-            sp_c = spectral_lower_bound(core_g)
-            ok = sp_c.value <= ev_c.value + 1e-9
+    corpus = ctx.connected_graphs
+    for g, beta, core_g, core_beta in corpus:
+        ok = spectral_lower_bound(g).value <= beta + 1e-9
+        if ok and core_g is not None:
+            ok = spectral_lower_bound(core_g).value <= core_beta + 1e-9
             if ok:
                 ub = path_upper_bound(kernel(core_g).longest_run, core_g.n)
                 if ub is not None:
                     checked_path += 1
-                    ok = ev_c.value <= ub + 1e-12
+                    ok = core_beta <= ub + 1e-12
         bracket_ok += int(ok)
 
     passed = peel_ok == len(graphs) and bracket_ok == len(corpus)
@@ -510,7 +499,7 @@ def crit_12_reinstatement(ctx) -> CriterionResult:
         abs(f_direct - p_direct) <= 3 * sigma and abs(f_two - p_direct) <= 3 * sigma
     )
 
-    cases = ctx.reinstatement_cases(200)
+    cases = ctx.reinstatement_cases
     exp_ok = sum(1 for *_, res in cases if res.passed)
     chain_ok = sum(1 for *_, res in cases if res.chain_ok)
     passed = freq_ok and exp_ok == len(cases)
@@ -529,16 +518,14 @@ def crit_12_reinstatement(ctx) -> CriterionResult:
 
 def crit_13_diameter(ctx) -> CriterionResult:
     pool = []
-    for g in ctx.connected_graphs(500):
-        pool.append((g, exact_vertex_expansion(g).value))
-        core = two_core(g)
-        if core.size:
-            core_g, _ = core.subgraph()
-            pool.append((core_g, exact_vertex_expansion(core_g).value))
-    for gprime, _, ghat, res in ctx.reinstatement_cases(200):
+    for g, beta, core_g, core_beta in ctx.connected_graphs:
+        pool.append((g, beta))
+        if core_g is not None:
+            pool.append((core_g, core_beta))
+    for gprime, _, ghat, res in ctx.reinstatement_cases:
         pool.append((ghat, res.beta_hat))
         pool.append((gprime, res.beta_prime))
-    pool.extend(ctx.small_survivors(100))
+    pool.extend(ctx.small_survivors)
 
     checked = 0
     held = 0

@@ -99,7 +99,7 @@ def cmd_expansion(args) -> int:
 def cmd_theory(args) -> int:
     params = theory.ModelParams(args.n, args.d, args.alpha, args.eta)
     preds = theory.predictions(params, run_lengths=tuple(args.run_length or [2]))
-    _write_output(json.dumps(preds.to_dict(), indent=1, sort_keys=True) + "\n", args.output)
+    _write_output(json.dumps(preds, indent=1, sort_keys=True) + "\n", args.output)
     return 0
 
 

@@ -56,15 +56,19 @@ def _neighbor_bits(g: Multigraph) -> np.ndarray:
     return nbr
 
 
-def _subset_tables(n: int, nbr_bits: np.ndarray):
-    """For every nonempty subset mask: its size and neighborhood mask."""
+def _subset_tables(g: Multigraph):
+    """For every nonempty subset S of g's vertices: its mask, |S| and
+    |N(S) \\ S|, the one table every exact vertex-expansion search reads."""
+    n = g.n
+    _check_exhaustive_size(n)
+    nbr_bits = _neighbor_bits(g)
     masks = np.arange(1, 1 << n, dtype=np.int64)
     sizes = _popcount(masks)
     nbrs = np.zeros(masks.size, dtype=np.int64)
     for v in range(n):
         sel = (masks >> v) & 1 == 1
         nbrs[sel] |= nbr_bits[v]
-    return masks, sizes, nbrs
+    return masks, sizes, _popcount(nbrs & ~masks)
 
 
 def _lex_least(ties: np.ndarray) -> tuple:
@@ -97,6 +101,16 @@ def _check_exhaustive_size(n: int) -> None:
         )
 
 
+def _min_vertex_expansion(masks, sizes, out, n: int) -> ExactExpansion:
+    """The least out/|S| over the table's subsets with |S| <= n/2; +inf when
+    none is that small."""
+    ok = sizes <= n // 2
+    if not ok.any():
+        return ExactExpansion(math.inf, None, None, None)
+    bn, bd, witness = _best_ratio(out[ok], sizes[ok], masks[ok])
+    return ExactExpansion(bn / bd, witness, bn, bd)
+
+
 def exact_vertex_expansion(g: Multigraph) -> ExactExpansion:
     """min |N(S) \\ S| / |S| over nonempty S with |S| <= n/2, exactly.
 
@@ -104,15 +118,7 @@ def exact_vertex_expansion(g: Multigraph) -> ExactExpansion:
     neighbor relation matters.  Disconnected graphs score 0.  Graphs with
     a single vertex have no admissible S; the min over nothing is +inf.
     """
-    n = g.n
-    _check_exhaustive_size(n)
-    if n // 2 == 0:
-        return ExactExpansion(math.inf, None, None, None)
-    masks, sizes, nbrs = _subset_tables(n, _neighbor_bits(g))
-    ok = sizes <= n // 2
-    out = _popcount(nbrs & ~masks)
-    bn, bd, witness = _best_ratio(out[ok], sizes[ok], masks[ok])
-    return ExactExpansion(bn / bd, witness, bn, bd)
+    return _min_vertex_expansion(*_subset_tables(g), g.n)
 
 
 def exact_edge_expansion(g: Multigraph) -> ExactExpansion:
@@ -148,7 +154,7 @@ def exact_edge_expansion(g: Multigraph) -> ExactExpansion:
 # bounds
 
 
-def path_upper_bound(longest_run: int, n: int | None = None) -> float | None:
+def path_upper_bound(longest_run: int, n: int) -> float | None:
     """Upper bound on vertex expansion from a degree-2 run of length k.
 
     Cutting a stretch of j = min(k-1, floor(n/2)) consecutive run vertices
@@ -157,12 +163,8 @@ def path_upper_bound(longest_run: int, n: int | None = None) -> float | None:
     k-1 internal vertices always fit the size constraint when they fit in
     half the graph.)  Returns None when no such certificate exists.
     """
-    if longest_run < 2:
-        return None
-    j = longest_run - 1 if n is None else min(longest_run - 1, n // 2)
-    if j < 1:
-        return None
-    return 2.0 / j
+    j = min(longest_run - 1, n // 2)
+    return 2.0 / j if j >= 1 else None
 
 
 class SpectralBound(NamedTuple):
@@ -301,7 +303,7 @@ class ReinstatementCheck:
 
 
 def reinstatement_expansion_check(
-    gprime: Multigraph, winners, ghat: Multigraph, d: int | None = None
+    gprime: Multigraph, winners, ghat: Multigraph
 ) -> ReinstatementCheck:
     """Verify that reinstating a spread-out vertex set W costs at most half
     the expansion.
@@ -311,7 +313,8 @@ def reinstatement_expansion_check(
     check computes beta(ghat) exactly and compares it with half of
     min(beta(gprime), 2), and additionally verifies the subset inequality
     |N(S) \\ S| >= d|S cap W| - |S - W| for every S that is W-heavy
-    (|S cap W| > |S - W|, |S| <= n/2).
+    (|S cap W| > |S - W|, |S| <= n/2), where d is the fewest distinct
+    neighbours of a vertex of W.
     """
     n = ghat.n
     W = np.unique(np.asarray(winners, dtype=np.int64))
@@ -342,26 +345,22 @@ def reinstatement_expansion_check(
         raise ValueError("gprime does not match ghat with W removed")
 
     bp = exact_vertex_expansion(gprime)
-    bh = exact_vertex_expansion(ghat)
+    masks, sizes, out = _subset_tables(ghat)
+    bh = _min_vertex_expansion(masks, sizes, out, n)
     # a graph too small to have any admissible subset expands perfectly
     bp_frac = Fraction(2) if bp.numerator is None else Fraction(bp.numerator, bp.denominator)
     bh_frac = Fraction(2) if bh.numerator is None else Fraction(bh.numerator, bh.denominator)
     cert = min(bp_frac, Fraction(2))
     passed = bh_frac >= cert / 2
 
-    nbr_bits = _neighbor_bits(ghat)
-    # the fewest distinct neighbours of a vertex of W
-    d_eff = d if d is not None else int(_popcount(nbr_bits[W]).min())
-
-    wbits = np.int64(0)
-    for w in W:
-        wbits |= np.int64(1) << int(w)
-    masks, sizes, nbrs = _subset_tables(n, nbr_bits)
-    in_w = _popcount(masks & wbits)
+    # the table's row mask - 1 holds that mask, so row 2^w - 1 is {w}, whose
+    # out-count is w's number of distinct neighbours
+    w_masks = 1 << W
+    d = int(out[w_masks - 1].min())
+    in_w = _popcount(masks & w_masks.sum())
     rest = sizes - in_w
     heavy = (in_w > rest) & (sizes <= n // 2)
-    out = _popcount(nbrs & ~masks)
-    need = d_eff * in_w - rest
+    need = d * in_w - rest
     chain_ok = bool(np.all(out[heavy] >= need[heavy]))
 
     return ReinstatementCheck(

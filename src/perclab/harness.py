@@ -150,18 +150,16 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
         mp = theory.ModelParams(config.n, config.d, config.alpha, config.eta)
         mu = tuple(theory.mu_all(mp))
 
-    beta_exact = beta_lower = beta_upper = lambda2 = diameter = None
+    beta_exact = beta_lower = lambda2 = diameter = None
     longest_run = dec.kernel.longest_run
     beta_upper = path_upper_bound(longest_run, graph.n)
     if config.exhaustive_expansion:
         if graph.n <= EXHAUSTIVE_LIMIT:
-            cert = certify(graph, longest_run=longest_run, seed=rng)
+            cert = certify(graph, seed=rng)
             beta_exact = cert.exact_beta
             beta_lower = cert.lower_bound
             lambda2 = cert.lambda2
             diameter = cert.diameter
-            if cert.upper_bound is not None:
-                beta_upper = cert.upper_bound
         else:
             spect = spectral_lower_bound(graph, seed=rng)
             beta_lower = spect.value
@@ -309,7 +307,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     preds = None
     if config.alpha is not None and config.d >= 3:
         mp = theory.ModelParams(config.n, config.d, config.alpha, config.eta)
-        preds = theory.predictions(mp, run_lengths=(2,)).to_dict()
+        preds = theory.predictions(mp, run_lengths=(2,))
     agg = aggregate_records(records, config.K_effective)
     return ExperimentReport(config, records, agg, preds)
 
@@ -364,11 +362,9 @@ def _cell(x) -> str:
     return str(x)
 
 
-def write_csv(report: ExperimentReport, path_or_file) -> None:
+def write_csv(report: ExperimentReport, path) -> None:
     """One row per trial, columns as in csv_columns."""
-    own = not hasattr(path_or_file, "write")
-    fh = open(path_or_file, "w", newline="") if own else path_or_file
-    try:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(csv_columns(report.config.d))
         for r in report.records:
@@ -380,9 +376,6 @@ def write_csv(report: ExperimentReport, path_or_file) -> None:
                 else:
                     row += [None] * (r.d + 1) if val is None else list(val)
             writer.writerow([_cell(x) for x in row])
-    finally:
-        if own:
-            fh.close()
 
 
 # ---------------------------------------------------------------------------

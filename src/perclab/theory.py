@@ -174,57 +174,27 @@ def core_mu(params: ModelParams) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class Predictions:
-    params: ModelParams
-    p: float
-    expected_r: float
-    r_concentrated: bool
-    mu: tuple[float, ...]
-    regime: str
-    K: int
-    isolated_tree_decay: float
-    isolated_edge_mean: float
-    isolated_vertex_cap: float
-    deg2_paths: tuple[tuple[int, float], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.params.n,
-            "d": self.params.d,
-            "alpha": self.params.alpha,
-            "eta": self.params.eta,
-            "p": self.p,
-            "expected_r": self.expected_r,
-            "r_concentrated": self.r_concentrated,
-            "mu": list(self.mu),
-            "regime": self.regime,
-            "K": self.K,
-            "isolated_tree_decay": self.isolated_tree_decay,
-            "isolated_edge_mean": self.isolated_edge_mean,
-            "isolated_vertex_cap": self.isolated_vertex_cap,
-            "deg2_paths": {str(k): v for k, v in self.deg2_paths},
-        }
-
-
-def predictions(params: ModelParams, run_lengths: tuple[int, ...] = ()) -> Predictions:
-    """Bundle every closed-form quantity for one parameter point."""
+def predictions(params: ModelParams, run_lengths: tuple[int, ...] = ()) -> dict:
+    """Every closed-form quantity for one parameter point, JSON-ready;
+    deg2_paths maps each run length k (as a string) to its expected count."""
     r, conc = expected_r(params)
     core = core_mu(params)
-    runs = tuple(
-        (k, expected_deg2_paths(core["t"], core["pairs"], core["n2"], k))
-        for k in run_lengths
-    )
-    return Predictions(
-        params=params,
-        p=params.p,
-        expected_r=r,
-        r_concentrated=conc,
-        mu=tuple(mu_all(params)),
-        regime=regime_classify(params.d, params.eta),
-        K=bush_bound_K(params.d, params.eta),
-        isolated_tree_decay=isolated_tree_decay(params),
-        isolated_edge_mean=isolated_edge_mean(params),
-        isolated_vertex_cap=isolated_vertex_cap(params),
-        deg2_paths=runs,
-    )
+    return {
+        "n": params.n,
+        "d": params.d,
+        "alpha": params.alpha,
+        "eta": params.eta,
+        "p": params.p,
+        "expected_r": r,
+        "r_concentrated": conc,
+        "mu": mu_all(params),
+        "regime": regime_classify(params.d, params.eta),
+        "K": bush_bound_K(params.d, params.eta),
+        "isolated_tree_decay": isolated_tree_decay(params),
+        "isolated_edge_mean": isolated_edge_mean(params),
+        "isolated_vertex_cap": isolated_vertex_cap(params),
+        "deg2_paths": {
+            str(k): expected_deg2_paths(core["t"], core["pairs"], core["n2"], k)
+            for k in run_lengths
+        },
+    }

@@ -1,8 +1,8 @@
 """Full verification battery.
 
 Each criterion prints one PASS/FAIL line (visible even under capture)
-and the test asserts it passed.  The shared context caches the heavy
-trial batches so the battery builds each one exactly once.
+and the test asserts it passed.  The shared context builds each trial
+batch and graph corpus exactly once.
 """
 
 import dataclasses
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from perclab import acceptance
 from perclab.acceptance import (
     CRITERIA,
     UNIFORMITY_LEVEL,
@@ -37,6 +38,23 @@ def test_criterion(idx, ctx, capsys):
     with capsys.disabled():
         print(res.line(), flush=True)
     assert res.passed, res.line()
+
+
+def test_crits_10_and_13_search_each_graph_once(monkeypatch):
+    # the corpora carry their exact answers, so the criteria search nothing
+    # again: one search per corpus graph, per non-empty core and per survivor
+    searched = []
+
+    def counting(g):
+        searched.append(g)
+        return exact_vertex_expansion(g)
+
+    exact_vertex_expansion = acceptance.exact_vertex_expansion
+    monkeypatch.setattr("perclab.acceptance.exact_vertex_expansion", counting)
+    ctx = AcceptanceContext()
+    assert all(res.passed for res in run_criteria([10, 13], ctx))
+    cores = sum(core_g is not None for _, _, core_g, _ in ctx.connected_graphs)
+    assert len(searched) == len(ctx.connected_graphs) + cores + len(ctx.small_survivors)
 
 
 def test_uniformity_checks_pass():

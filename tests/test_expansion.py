@@ -161,10 +161,11 @@ def test_edge_vs_vertex_expansion_sandwich():
 
 
 def test_path_upper_bound_values():
-    assert path_upper_bound(5) == pytest.approx(0.5)
-    assert path_upper_bound(3) == pytest.approx(1.0)
-    assert path_upper_bound(1) is None
-    assert path_upper_bound(0) is None
+    assert path_upper_bound(5, n=100) == pytest.approx(0.5)
+    assert path_upper_bound(3, n=100) == pytest.approx(1.0)
+    assert path_upper_bound(1, n=100) is None
+    assert path_upper_bound(0, n=100) is None
+    assert path_upper_bound(5, n=1) is None  # no vertex fits in half the graph
     # the n//2 cap keeps the bound meaningful when the run is most of the graph
     assert path_upper_bound(9, n=8) == pytest.approx(2 / 4)
 
@@ -263,7 +264,7 @@ def test_reinstate_heavy_subsets_on_regular_graph():
         keep = np.ones(12, dtype=bool)
         keep[w] = False
         gprime, _ = g.induced(keep)
-        chk = reinstatement_expansion_check(gprime, w, g, d=3)
+        chk = reinstatement_expansion_check(gprime, w, g)
         assert chk.subsets_checked >= len(w)
         return
     pytest.skip("no admissible cubic example found")

@@ -4,7 +4,6 @@ config-file round trips.
 
 import csv
 import dataclasses
-import io
 import json
 
 import numpy as np
@@ -209,7 +208,7 @@ def test_csv_columns_shape():
     assert cols.index("N_4") < cols.index("mu_0")
 
 
-def test_csv_roundtrip():
+def test_csv_roundtrip(tmp_path):
     rep = run_experiment(small_config(trials=3, exhaustive_expansion=True))
     # plus a record whose numbers all differ, so a column that reads the
     # wrong field cannot match by a shared value such as 0
@@ -221,13 +220,13 @@ def test_csv_roundtrip():
         elif not isinstance(val, bool):
             distinct[key] = (type(val) if val is not None else float)(100 * i)
     rep.records.append(dataclasses.replace(rec, **distinct))
-    buf = io.StringIO()
-    write_csv(rep, buf)
-    buf.seek(0)
-    header = buf.readline().strip().split(",")
-    assert header == csv_columns(4)
-    buf.seek(0)
-    rows = list(csv.DictReader(buf))
+    path = tmp_path / "trials.csv"
+    write_csv(rep, path)
+    with open(path, newline="") as fh:
+        header = fh.readline().strip().split(",")
+        assert header == csv_columns(4)
+        fh.seek(0)
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 4
     # every column against the record field it names
     renamed = {"isolated_cycles": "core_cycle_count"}

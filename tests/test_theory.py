@@ -109,10 +109,9 @@ def test_isolated_edge_mean():
     p = ModelParams(n=100, d=3, alpha=0.5)
     assert isolated_edge_mean(p) == pytest.approx(0.01215, rel=1e-12)
     pred = predictions(p)
-    assert pred.isolated_edge_mean == isolated_edge_mean(p)
-    assert pred.to_dict()["isolated_edge_mean"] == isolated_edge_mean(p)
+    assert pred["isolated_edge_mean"] == isolated_edge_mean(p)
     # the leading order drops the nd/2 (1-p)^2 factor
-    assert pred.isolated_tree_decay == pytest.approx(100**-1.0)
+    assert pred["isolated_tree_decay"] == pytest.approx(100**-1.0)
 
 
 def test_isolated_vertex_cap():
@@ -143,15 +142,13 @@ def test_core_size_leading_order():
 def test_predictions_bundle():
     p = ModelParams(n=10**5, d=4, alpha=0.5)
     pr = predictions(p, run_lengths=(2, 3))
-    assert pr.K == 3
-    assert pr.regime == "c"
-    assert pr.r_concentrated
-    assert [k for k, _ in pr.deg2_paths] == [2, 3]
+    assert pr["K"] == 3
+    assert pr["regime"] == "c"
+    assert pr["r_concentrated"]
+    assert list(pr["deg2_paths"]) == ["2", "3"]
     # longer prescribed runs are rarer
-    assert pr.deg2_paths[0][1] > pr.deg2_paths[1][1]
-    d = pr.to_dict()
-    assert d["K"] == 3 and d["regime"] == "c"
-    assert len(d["mu"]) == 5
+    assert pr["deg2_paths"]["2"] > pr["deg2_paths"]["3"]
+    assert len(pr["mu"]) == 5
 
 
 @given(

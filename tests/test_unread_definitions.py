@@ -4,7 +4,8 @@ perclab or in the benchmark (perfbench/), not only in the tests.
 A name counts as read when it occurs in the source of src/perclab or
 perfbench/ anywhere other than its own definition: as a name token, or
 inside a string, since the benchmark's tracer wraps names by string.
-Comments do not count, and dunder names are exempt."""
+Comments do not count, and dunder names are exempt.  src/perclab/__init__.py
+does not count either: a re-export is not a use."""
 
 import ast
 import io
@@ -44,9 +45,11 @@ def definitions():
 
 def occurrences():
     """Counts of name tokens and of words inside strings over src/perclab
-    and perfbench, leaving out the name that a def or class defines."""
+    and perfbench, leaving out the package's __init__.py and the name that a
+    def or class defines."""
     counts = Counter()
-    for path in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
+    modules = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    for path in [*modules, *(ROOT / "perfbench").rglob("*.py")]:
         tokens = list(tokenize.generate_tokens(io.StringIO(path.read_text()).readline))
         for prev, tok in zip([None, *tokens], tokens):
             if tok.type == tokenize.NAME:

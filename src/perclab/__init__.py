@@ -23,7 +23,6 @@ from perclab.percolation import (
     PercolationOutcome,
     apply_deletion,
     choose_deletion_set,
-    percolate,
     reinstate,
 )
 from perclab.decomposition import decompose, two_core, kernel, bushes
@@ -50,7 +49,6 @@ __all__ = [
     "is_simple",
     "kernel",
     "pair_probability",
-    "percolate",
     "predictions",
     "project",
     "reinstate",

@@ -29,9 +29,10 @@ from perclab.pairing import (
 )
 from perclab.percolation import (
     DeletionParams,
+    apply_deletion,
+    choose_deletion_set,
     format_outcome,
     parse_outcome,
-    percolate,
 )
 
 
@@ -76,7 +77,7 @@ def cmd_sample(args) -> int:
 def cmd_percolate(args) -> int:
     config = parse_configuration(_read_input_text(args.input))
     params = DeletionParams(config.n, alpha=args.alpha, p=args.p, seed=args.seed)
-    outcome = percolate(config, params)
+    outcome = apply_deletion(config, choose_deletion_set(params))
     _write_output(format_outcome(outcome), args.output)
     return 0
 

@@ -3,7 +3,7 @@
 Buckets are deleted independently with probability p (usually n**-alpha).
 Deleting a bucket removes every pair touching one of its points; the
 survivors keep their relative order, so the surviving configuration uses
-compacted labels 0..n-r-1 with an explicit map back to the originals.
+compacted labels 0..n-r-1: new label i is the i-th surviving original.
 """
 
 from __future__ import annotations
@@ -55,22 +55,17 @@ class PercolationOutcome:
     """Survivors of one deletion round.
 
     survivor labels are 0..n-r-1 in the order of the surviving original
-    buckets; bucket_map[new] gives the original label.
+    buckets.
     """
 
     original_n: int
     deleted: np.ndarray
     survivor: Configuration
     census: np.ndarray
-    bucket_map: np.ndarray
 
     @property
     def r(self) -> int:
         return int(self.deleted.size)
-
-    @property
-    def n_survivors(self) -> int:
-        return self.survivor.n
 
 
 def choose_deletion_set(params: DeletionParams) -> np.ndarray:
@@ -105,12 +100,9 @@ def apply_deletion(config: Configuration, deleted) -> PercolationOutcome:
     keep_point = ~dead_point
     keep_point[cut_points] = False
 
-    keep_bucket = ~dead_bucket
-    bucket_map = np.flatnonzero(keep_bucket)
-
     # each cut pair costs its buckets one degree per point
     lost = np.bincount(bop[cut_points], minlength=n)
-    new_degrees = (seq.degrees - lost)[keep_bucket]
+    new_degrees = (seq.degrees - lost)[~dead_bucket]
 
     d_max = int(seq.degrees.max()) if seq.n else 0
     census = np.bincount(new_degrees, minlength=d_max + 1).astype(np.int64)
@@ -118,17 +110,7 @@ def apply_deletion(config: Configuration, deleted) -> PercolationOutcome:
     # relabel points in order, which keeps the pairs canonical
     new_id = np.cumsum(keep_point) - 1
     survivor = Configuration(DegreeSequence(new_degrees), new_id[kept])
-    return PercolationOutcome(
-        original_n=n,
-        deleted=deleted,
-        survivor=survivor,
-        census=census,
-        bucket_map=bucket_map,
-    )
-
-
-def percolate(config: Configuration, params: DeletionParams) -> PercolationOutcome:
-    return apply_deletion(config, choose_deletion_set(params))
+    return PercolationOutcome(original_n=n, deleted=deleted, survivor=survivor, census=census)
 
 
 def reinstate(
@@ -196,12 +178,6 @@ def parse_outcome(text: str) -> PercolationOutcome:
     expected = np.bincount(survivor.seq.degrees, minlength=max(census.size, 1))
     if not np.array_equal(census, expected):
         raise ValueError("census line does not match the survivor's degrees")
-    keep = np.ones(original_n, dtype=bool)
-    keep[deleted] = False
     return PercolationOutcome(
-        original_n=original_n,
-        deleted=deleted,
-        survivor=survivor,
-        census=census,
-        bucket_map=np.flatnonzero(keep),
+        original_n=original_n, deleted=deleted, survivor=survivor, census=census
     )

@@ -202,6 +202,16 @@ def test_module_entry_rejects_vertex_count_past_int32(tmp_path, count):
     assert "Traceback" not in proc.stderr
 
 
+def test_module_entry_rejects_edge_endpoint_out_of_range(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("3\n1 2\n2 4\n")
+    proc = run_module("analyze", "-i", str(bad))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "endpoint out of range" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_module_entry_reports_running_out_of_memory(tmp_path):
     # a count inside the int32 bound still sizes 8 GiB arrays; the child
     # alone gets a 2 GiB address-space limit, so the allocation fails

@@ -19,7 +19,7 @@ from perclab.pairing import (
     sample_configuration,
     sample_simple_regular,
 )
-from perclab.percolation import DeletionParams, percolate
+from perclab.percolation import DeletionParams, apply_deletion, choose_deletion_set
 from perclab.decomposition import (
     CYCLE,
     GIANT,
@@ -126,7 +126,8 @@ def test_peel_matches_networkx_k_core():
     # just below the connectivity threshold
     for seed, (n, d, alpha) in enumerate([(10_000, 3, 0.18), (10_000, 4, 0.2)], start=3):
         cfg = sample_configuration(DegreeSequence.regular(n, d), seed=seed)
-        graphs.append(simple_part(project(percolate(cfg, DeletionParams(n, alpha=alpha, seed=seed)).survivor)))
+        deleted = choose_deletion_set(DeletionParams(n, alpha=alpha, seed=seed))
+        graphs.append(simple_part(project(apply_deletion(cfg, deleted).survivor)))
     for survivor in graphs:
         core = two_core(survivor)
         G = nx.Graph()
@@ -574,7 +575,8 @@ def test_components_and_bushes_match_networkx():
     seen = {"tree": 0, "rooted bush": 0, "free tree": 0}
     for seed, (n, alpha) in enumerate([(2000, 0.18), (2500, 0.22), (3000, 0.25), (3000, 0.3)]):
         cfg = sample_configuration(DegreeSequence.regular(n, 3), seed=seed)
-        g = project(percolate(cfg, DeletionParams(n, alpha=alpha, seed=seed)).survivor)
+        deleted = choose_deletion_set(DeletionParams(n, alpha=alpha, seed=seed))
+        g = project(apply_deletion(cfg, deleted).survivor)
         seen["tree"] += len(assert_components_match_networkx(nx, g)[TREE])
         roots = assert_bushes_match_networkx(nx, g)
         seen["rooted bush"] += int(np.count_nonzero(roots >= 0))
@@ -599,7 +601,8 @@ def test_components_and_bushes_on_unordered_edge_lists():
     graphs = [Multigraph(0, []), Multigraph(6, [])]
     for seed, (n, d, alpha) in enumerate([(3000, 3, 0.18), (3000, 3, 0.25), (10_000, 4, 0.3)]):
         cfg = sample_configuration(DegreeSequence.regular(n, d), seed=seed)
-        g = project(percolate(cfg, DeletionParams(n, alpha=alpha, seed=seed)).survivor)
+        deleted = choose_deletion_set(DeletionParams(n, alpha=alpha, seed=seed))
+        g = project(apply_deletion(cfg, deleted).survivor)
         # extra loops, parallel edges, a triangle with a tail and two
         # isolated vertices
         extra = rng.integers(0, g.n, size=(20, 2))
@@ -650,7 +653,8 @@ def binary_tree_reversed(n: int) -> tuple[int, np.ndarray]:
 
 def percolated(n: int, d: int, alpha: float, seed: int) -> tuple[int, np.ndarray]:
     cfg = sample_configuration(DegreeSequence.regular(n, d), seed=seed)
-    g = project(percolate(cfg, DeletionParams(n, alpha=alpha, seed=seed)).survivor)
+    deleted = choose_deletion_set(DeletionParams(n, alpha=alpha, seed=seed))
+    g = project(apply_deletion(cfg, deleted).survivor)
     return g.n, shuffled(g, np.random.default_rng(seed)).edges
 
 

@@ -31,6 +31,8 @@ from perclab.pairing import (
     sample_simple_regular,
 )
 
+from canonical_form import assert_canonical
+
 
 # ---------------------------------------------------------------------------
 # degree sequences
@@ -114,12 +116,9 @@ def test_single_bucket_unique_matching():
 
 
 def test_sampled_pairs_are_canonical():
-    seq = DegreeSequence.regular(30, 3)
-    pairs = sample_configuration(seq, seed=3).pairs
-    assert pairs.shape == (45, 2)
-    assert np.all(pairs[:, 0] < pairs[:, 1])
-    assert np.all(np.diff(pairs[:, 0]) > 0)
-    assert np.array_equal(np.sort(pairs.ravel()), np.arange(90))
+    for seq in (DegreeSequence.regular(30, 3), DegreeSequence(np.array([3, 1, 0, 2, 2]))):
+        for seed in range(20):
+            assert_canonical(sample_configuration(seq, seed=seed))
 
 
 @pytest.mark.parametrize(
@@ -137,8 +136,10 @@ def test_sampled_pairs_are_canonical():
     ],
 )
 def test_configuration_rejects_noncanonical_pairs(pairs, message):
-    with pytest.raises(ValueError, match=message):
-        Configuration(DegreeSequence.regular(3, 2), np.array(pairs))
+    # the constructor trusts its caller, so the tests' check of each
+    # producer is what must catch these
+    with pytest.raises(AssertionError, match=message):
+        assert_canonical(Configuration(DegreeSequence.regular(3, 2), np.array(pairs)))
 
 
 def test_sampler_determinism_and_generator_passthrough():
@@ -369,6 +370,20 @@ def test_parse_puts_pairs_in_canonical_order():
     assert np.array_equal(cfg.pairs, [[0, 5], [1, 3], [2, 4]])
 
 
+@pytest.mark.parametrize("degs", [[4] * 12, [3, 1, 0, 2, 2]])
+def test_parse_of_shuffled_text_is_canonical(degs):
+    # pair lines in random order, each with its two points in random order
+    rng = np.random.default_rng(5)
+    cfg = sample_configuration(DegreeSequence(np.array(degs)), seed=rng)
+    header, *body = format_configuration(cfg).splitlines()
+    body = [ln.split() for ln in body]
+    body = [" ".join(t[2:] + t[:2] if rng.random() < 0.5 else t) for t in body]
+    rng.shuffle(body)
+    back = parse_configuration("\n".join([header, *body]))
+    assert_canonical(back)
+    assert back == cfg
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_configuration("3 2 2\n1 1 2 1\n")  # header says n=3 but lists 2 degrees
@@ -379,5 +394,9 @@ def test_parse_rejects_garbage():
 def test_parse_rejects_negative_vertex_count():
     with pytest.raises(ValueError, match="n=-3"):
         parse_multigraph("-3")
-    with pytest.raises(ValueError, match="n=-1"):
-        Multigraph(-1, np.zeros((0, 2), dtype=np.int64))
+
+
+@pytest.mark.parametrize("text", ["3\n1 4\n", "3\n0 1\n", "3\n1 2\n3 -2\n", "0\n1 1\n"])
+def test_parse_rejects_edge_endpoint_out_of_range(text):
+    with pytest.raises(ValueError, match="endpoint out of range"):
+        parse_multigraph(text)

@@ -1,6 +1,8 @@
 """Hostile input for the four text parsers.  Whatever the text, a parser
 returns a value or raises ValueError, never another exception, so the
-CLI can turn every malformed file into an `error:` line."""
+CLI can turn every malformed file into an `error:` line.  The parsers are
+the only gate: `Configuration` and `Multigraph` trust their callers, so
+every value a parser returns must also be well formed."""
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from perclab.pairing import (
     sample_configuration,
 )
 from perclab.percolation import apply_deletion, format_outcome, parse_outcome
+
+from canonical_form import assert_canonical
 
 # small numbers reach real buckets, points and keys; big ones overflow int64
 NUMBERS = st.one_of(st.integers(-3, 12), st.integers(-(2**70), 2**70)).map(str)
@@ -62,9 +66,23 @@ VALID = {
 }
 
 
+
+def assert_endpoints_in_range(g):
+    assert g.edges.size == 0 or (g.edges.min() >= 0 and g.edges.max() < g.n)
+
+
+# what each parser's result must satisfy
+WELL_FORMED = {
+    parse_configuration: assert_canonical,
+    parse_outcome: lambda out: assert_canonical(out.survivor),
+    parse_multigraph: assert_endpoints_in_range,
+    parse_config_text: lambda cfg: None,
+}
+
+
 @pytest.mark.parametrize("parse", VALID, ids=lambda f: f.__name__)
 def test_valid_text_parses(parse):
-    parse(VALID[parse])
+    WELL_FORMED[parse](parse(VALID[parse]))
 
 
 @pytest.mark.parametrize("parse", VALID, ids=lambda f: f.__name__)
@@ -73,6 +91,7 @@ def test_valid_text_parses(parse):
 def test_parser_returns_or_raises_value_error(parse, data):
     text = data.draw(st.one_of(RANDOM_TEXT, near(VALID[parse])), label="text")
     try:
-        parse(text)
+        value = parse(text)
     except ValueError:
-        pass
+        return
+    WELL_FORMED[parse](value)

@@ -26,9 +26,10 @@ from perclab.percolation import (
     choose_deletion_set,
     format_outcome,
     parse_outcome,
-    percolate,
     reinstate,
 )
+
+from canonical_form import assert_canonical
 
 
 def triangle_config() -> Configuration:
@@ -45,12 +46,10 @@ def test_triangle_minus_middle_bucket():
     assert out.r == 1
     assert np.array_equal(out.census, [0, 2, 0])
     # survivors keep one pair: the old (5,0) edge between buckets 2 and 0
-    assert out.n_survivors == 2
+    assert out.survivor.n == 2
     assert np.array_equal(out.survivor.seq.degrees, [1, 1])
     g = project(out.survivor)
     assert np.array_equal(g.edges, [[0, 1]])
-    # bucket_map sends new labels back to original ones
-    assert np.array_equal(out.bucket_map, [0, 2])
 
 
 def survivor_by_hand(degrees, pairs, deleted):
@@ -81,16 +80,18 @@ def test_deletion_matches_hand_relabelling_exhaustively(degrees):
 
 def assert_delete_after_project(cfg, deleted):
     """Deleting after projecting, as harness.run_trial does, against
-    apply_deletion then project: the same graph row for row, the same
-    labels and the census of that graph's degrees."""
+    apply_deletion then project: the same graph row for row, the surviving
+    buckets as labels and the census of that graph's degrees.  The
+    survivor's pairs must be canonical too."""
     alive = np.ones(cfg.n, dtype=bool)
     alive[deleted] = False
     got, labels = project(cfg).induced(alive)
     out = apply_deletion(cfg, deleted)
+    assert_canonical(out.survivor)
     want = project(out.survivor)
     assert got.n == want.n
     assert got.edges.dtype == want.edges.dtype and np.array_equal(got.edges, want.edges)
-    assert np.array_equal(labels, out.bucket_map)
+    assert np.array_equal(labels, np.setdiff1d(np.arange(out.original_n), out.deleted))
     d = int(cfg.seq.degrees.max())
     assert np.array_equal(np.bincount(got.degree, minlength=d + 1), out.census)
 
@@ -138,14 +139,13 @@ def test_delete_nothing_is_identity():
     assert out.r == 0
     assert np.array_equal(out.census, [0, 0, 0, 20])
     assert out.survivor == cfg
-    assert np.array_equal(out.bucket_map, np.arange(20))
 
 
 def test_delete_everything():
     cfg = sample_configuration(DegreeSequence.regular(8, 3), seed=4)
     out = apply_deletion(cfg, np.arange(8))
     assert out.r == 8
-    assert out.n_survivors == 0
+    assert out.survivor.n == 0
     assert np.array_equal(out.census, [0, 0, 0, 0])
     assert out.survivor.seq.n == 0
 
@@ -184,8 +184,8 @@ def test_deletion_count_concentrates_at_scale():
 
 def test_percolate_is_deterministic():
     cfg = sample_configuration(DegreeSequence.regular(50, 4), seed=1)
-    a = percolate(cfg, DeletionParams(n=50, p=0.3, seed=9))
-    b = percolate(cfg, DeletionParams(n=50, p=0.3, seed=9))
+    a = apply_deletion(cfg, choose_deletion_set(DeletionParams(n=50, p=0.3, seed=9)))
+    b = apply_deletion(cfg, choose_deletion_set(DeletionParams(n=50, p=0.3, seed=9)))
     assert np.array_equal(a.deleted, b.deleted)
     assert a.survivor == b.survivor
 
@@ -196,7 +196,7 @@ def test_percolate_is_deterministic():
 
 def test_reinstate_all_recovers_original():
     cfg = sample_configuration(DegreeSequence.regular(30, 3), seed=6)
-    out = percolate(cfg, DeletionParams(n=30, p=0.4, seed=2))
+    out = apply_deletion(cfg, choose_deletion_set(DeletionParams(n=30, p=0.4, seed=2)))
     back = reinstate(cfg, out, winners=out.deleted)
     assert back.r == 0
     assert back.survivor == cfg
@@ -204,7 +204,7 @@ def test_reinstate_all_recovers_original():
 
 def test_reinstate_none_is_noop():
     cfg = sample_configuration(DegreeSequence.regular(30, 3), seed=6)
-    out = percolate(cfg, DeletionParams(n=30, p=0.4, seed=2))
+    out = apply_deletion(cfg, choose_deletion_set(DeletionParams(n=30, p=0.4, seed=2)))
     again = reinstate(cfg, out, winners=np.zeros(0, dtype=np.int64))
     assert np.array_equal(again.deleted, out.deleted)
     assert again.survivor == out.survivor
@@ -212,7 +212,7 @@ def test_reinstate_none_is_noop():
 
 def test_reinstate_rejects_non_deleted_winners():
     cfg = sample_configuration(DegreeSequence.regular(30, 3), seed=6)
-    out = percolate(cfg, DeletionParams(n=30, p=0.4, seed=2))
+    out = apply_deletion(cfg, choose_deletion_set(DeletionParams(n=30, p=0.4, seed=2)))
     alive = np.setdiff1d(np.arange(30), out.deleted)[:1]
     with pytest.raises(ValueError):
         reinstate(cfg, out, winners=alive)
@@ -220,7 +220,7 @@ def test_reinstate_rejects_non_deleted_winners():
 
 def test_reinstate_q_extremes():
     cfg = sample_configuration(DegreeSequence.regular(30, 3), seed=6)
-    out = percolate(cfg, DeletionParams(n=30, p=0.4, seed=2))
+    out = apply_deletion(cfg, choose_deletion_set(DeletionParams(n=30, p=0.4, seed=2)))
     keep_all = reinstate(cfg, out, q=1.0, seed=0)
     assert np.array_equal(keep_all.deleted, out.deleted)
     drop_all = reinstate(cfg, out, q=0.0, seed=0)
@@ -244,7 +244,7 @@ def test_two_stage_rate_composes():
     rng = np.random.default_rng(11)
     total = 0
     for _ in range(reps):
-        out = percolate(cfg, DeletionParams(n=n, p=p1, seed=rng))
+        out = apply_deletion(cfg, choose_deletion_set(DeletionParams(n=n, p=p1, seed=rng)))
         final = reinstate(cfg, out, q=q, seed=rng)
         total += final.r
     mean = total / reps
@@ -282,12 +282,10 @@ def test_census_accounting(case):
     total_deg = int((np.arange(out.census.size) * out.census).sum())
     assert total_deg % 2 == 0
     assert total_deg == 2 * project(out.survivor).m
-    # degrees can only shrink, tracked through bucket_map
-    assert np.all(out.survivor.seq.degrees <= degs[out.bucket_map])
-    # deleted and survivors partition the buckets
-    assert np.array_equal(
-        np.sort(np.concatenate([out.bucket_map, deleted])), np.arange(n)
-    )
+    # degrees can only shrink; new label i is the i-th surviving bucket
+    survivors = np.setdiff1d(np.arange(n), deleted)
+    assert out.survivor.n == survivors.size
+    assert np.all(out.survivor.seq.degrees <= degs[survivors])
 
 
 @given(config_and_deletion())
@@ -301,7 +299,6 @@ def test_outcome_text_roundtrip(case):
     assert np.array_equal(back.deleted, out.deleted)
     assert np.array_equal(back.census, out.census)
     assert back.survivor == out.survivor
-    assert np.array_equal(back.bucket_map, out.bucket_map)
 
 
 def triangle_outcome_text() -> str:

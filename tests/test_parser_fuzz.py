@@ -66,7 +66,6 @@ VALID = {
 }
 
 
-
 def assert_endpoints_in_range(g):
     assert g.edges.size == 0 or (g.edges.min() >= 0 and g.edges.max() < g.n)
 

@@ -8,7 +8,6 @@ input is unusable, 2 on usage errors (argparse's convention).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -16,7 +15,7 @@ from perclab import theory
 from perclab.acceptance import deletion_uniformity, matching_uniformity, run_criteria
 from perclab.decomposition import decompose
 from perclab.expansion import certify
-from perclab.harness import read_config, run_experiment, write_csv
+from perclab.harness import json_text, parse_config_text, run_experiment, write_csv
 from perclab.pairing import (
     SamplingFailureError,
     parse_configuration,
@@ -85,7 +84,7 @@ def cmd_percolate(args) -> int:
 def cmd_analyze(args) -> int:
     g = _graph_from_text(_read_input_text(args.input))
     dec = decompose(g)
-    _write_output(json.dumps(dec.report(), indent=1, sort_keys=True) + "\n", args.output)
+    _write_output(json_text(dec.report()), args.output)
     return 0
 
 
@@ -93,26 +92,25 @@ def cmd_expansion(args) -> int:
     g = _graph_from_text(_read_input_text(args.input))
     run = decompose(g).kernel.longest_run
     cert = certify(g, exact=not args.bounds, longest_run=run, seed=args.seed)
-    _write_output(json.dumps(cert.to_dict(), indent=1, sort_keys=True) + "\n", args.output)
+    _write_output(json_text(cert.to_dict()), args.output)
     return 0
 
 
 def cmd_theory(args) -> int:
     params = theory.ModelParams(args.n, args.d, args.alpha, args.eta)
     preds = theory.predictions(params, run_lengths=tuple(args.run_length or [2]))
-    _write_output(json.dumps(preds, indent=1, sort_keys=True) + "\n", args.output)
+    _write_output(json_text(preds), args.output)
     return 0
 
 
 def cmd_experiment(args) -> int:
-    config = read_config(args.config)
+    config = parse_config_text(_read_input_text(args.config))
     report = run_experiment(config, workers=args.workers)
     os.makedirs(args.outdir, exist_ok=True)
     csv_path = os.path.join(args.outdir, "trials.csv")
     json_path = os.path.join(args.outdir, "report.json")
     write_csv(report, csv_path)
-    with open(json_path, "w") as fh:
-        fh.write(report.to_json() + "\n")
+    _write_output(json_text(report), json_path)
     agg = report.aggregate
     print(
         f"{config.trials} trials done: mean r={agg.get('mean_r')}, "
@@ -129,7 +127,7 @@ def cmd_uniformity(args) -> int:
         "conditional_test": deletion_uniformity(),
     }
     suite["passed"] = all(t["passed"] for t in suite.values())
-    _write_output(json.dumps(suite, indent=1, sort_keys=True) + "\n", args.output)
+    _write_output(json_text(suite), args.output)
     return 0 if suite["passed"] else 1
 
 
@@ -199,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_theory)
 
     p = sub.add_parser("experiment", help="run a trial batch from a config file")
-    p.add_argument("--config", required=True, help="flat key = value file")
+    p.add_argument("--config", required=True, help="flat key = value file ('-' = stdin)")
     p.add_argument("-o", "--outdir", default=".")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_experiment)

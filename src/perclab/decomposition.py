@@ -41,12 +41,10 @@ class TwoCore:
     def size(self) -> int:
         return int(np.count_nonzero(self.alive))
 
-    def census(self) -> np.ndarray:
-        """N'_0..N'_d over core vertices, d the parent's maximum degree
-        (entries below 2 are always 0)."""
-        d_max = int(self.parent.degree.max()) if self.parent.n else 0
-        counts = np.bincount(self.degrees[self.alive], minlength=d_max + 1)
-        return counts.astype(np.int64)
+    def census(self, d: int) -> np.ndarray:
+        """N'_0..N'_d over core vertices, for d at least the parent's
+        maximum degree (entries below 2 are always 0)."""
+        return np.bincount(self.degrees[self.alive], minlength=d + 1)
 
     def subgraph(self) -> tuple[Multigraph, np.ndarray]:
         """(core as its own graph with compacted labels, original labels).
@@ -467,12 +465,13 @@ class Decomposition:
 
     def report(self) -> dict:
         comp = self.components
+        d_max = int(self.graph.degree.max()) if self.graph.n else 0
         return {
             "n": self.graph.n,
             "m": self.graph.m,
             "two_core_size": self.core.size,
             "kernel_size": int(self.kernel.labels.size),
-            "core_census": self.core.census().tolist(),
+            "core_census": self.core.census(d_max).tolist(),
             "bushes": [
                 {"vertices": (v + 1).tolist(), "root": None if r < 0 else int(r) + 1}
                 for v, r in zip(self.bushes.vertices(), self.bushes.roots)

@@ -13,7 +13,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 
 import numpy as np
 
@@ -184,7 +184,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
         other_component_count=comp.other_count,
         max_bush_size=dec.bushes.max_size,
         two_core_size=dec.core.size,
-        core_census=tuple(int(x) for x in dec.core.census()),
+        core_census=tuple(int(x) for x in dec.core.census(config.d)),
         kernel_size=int(dec.kernel.labels.size),
         core_cycle_count=dec.kernel.cycle_count,
         longest_deg2_run=longest_run,
@@ -211,37 +211,24 @@ class ExperimentReport:
     aggregate: dict
     predictions: dict | None
 
-    def to_dict(self) -> dict:
-        recs = []
-        for r in self.records:
-            d = {}
-            for key, val in asdict(r).items():
-                if isinstance(val, tuple):
-                    val = [_json_safe(x) for x in val]
-                else:
-                    val = _json_safe(val)
-                d[key] = val
-            recs.append(d)
-        agg = {k: _json_safe(v) for k, v in self.aggregate.items()}
-        return {
-            "config": asdict(self.config),
-            "records": recs,
-            "aggregate": agg,
-            "predictions": self.predictions,
-        }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1, allow_nan=False)
-
-
-def _json_safe(x):
-    if isinstance(x, float) and (math.isnan(x) or math.isinf(x)):
+def finite(obj):
+    """obj with dataclasses as dicts, tuples as lists, and NaN or inf as
+    None, at every depth: the values every JSON and CSV output holds."""
+    if is_dataclass(obj):
+        obj = asdict(obj)
+    if isinstance(obj, dict):
+        return {k: finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [finite(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    return x
+    return obj
+
+
+def json_text(obj) -> str:
+    """The one JSON writer: indented, sorted keys, NaN and inf as null."""
+    return json.dumps(finite(obj), indent=1, sort_keys=True, allow_nan=False) + "\n"
 
 
 def aggregate_records(records: list, K: int | None) -> dict:
@@ -265,13 +252,8 @@ def aggregate_records(records: list, K: int | None) -> dict:
         ),
         "mean_two_core_size": mean(r.two_core_size for r in records),
         "mean_kernel_size": mean(r.kernel_size for r in records),
-        "mean_census": [
-            mean(r.census[j] for r in records) for j in range(len(records[0].census))
-        ],
-        "mean_core_census": [
-            mean(r.core_census[j] for r in records)
-            for j in range(len(records[0].core_census))
-        ],
+        "mean_census": np.mean([r.census for r in records], axis=0).tolist(),
+        "mean_core_census": np.mean([r.core_census for r in records], axis=0).tolist(),
         "fraction_connected": frac(r.connected for r in records),
         "fraction_core_cycle_free": frac(r.core_cycle_count == 0 for r in records),
         "fraction_nongiant_isolated_only": frac(
@@ -355,10 +337,6 @@ def _cell(x) -> str:
         return ""
     if isinstance(x, bool):
         return str(int(x))
-    if isinstance(x, float):
-        if math.isnan(x) or math.isinf(x):
-            return ""
-        return repr(x)
     return str(x)
 
 
@@ -375,7 +353,7 @@ def write_csv(report: ExperimentReport, path) -> None:
                     row.append(val)
                 else:
                     row += [None] * (r.d + 1) if val is None else list(val)
-            writer.writerow([_cell(x) for x in row])
+            writer.writerow([_cell(x) for x in finite(row)])
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +395,3 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if missing:
         raise ValueError(f"config lacks required key(s): {', '.join(missing)}")
     return ExperimentConfig(**kwargs)
-
-
-def read_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config_text(fh.read())

@@ -168,10 +168,12 @@ class Multigraph:
         label i corresponds to original label labels[i] (order preserving).
         """
         labels = np.flatnonzero(mask)
-        relabel = np.full(self.n, -1, dtype=np.int64)
-        relabel[labels] = np.arange(labels.size, dtype=np.int64)
         e = self.edges
-        sel = mask[e[:, 0]] & mask[e[:, 1]]
+        # a row's two end flags read as one uint16, 0x0101 when both ends
+        # are kept; one gather over the contiguous edge list
+        sel = np.take(mask, e).view(np.uint16)[:, 0] == 0x0101
+        relabel = np.cumsum(mask)
+        relabel -= 1  # in place: a second n-long array here raised the peak RSS
         return Multigraph(labels.size, np.take(relabel, np.compress(sel, e, axis=0))), labels
 
     def __eq__(self, other):

@@ -13,6 +13,7 @@ import pytest
 
 import perclab
 from perclab.cli import build_parser, main
+from perclab.harness import parse_config_text, run_experiment
 from perclab.pairing import Multigraph, format_multigraph, parse_configuration
 from perclab.percolation import parse_outcome
 
@@ -327,6 +328,17 @@ def test_experiment_config_without_d_exits_one(tmp_path):
     assert proc.stderr.startswith("error:")
     assert "lacks required key(s): d" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_experiment_when_survivors_differ_in_largest_degree(tmp_path):
+    # at n = 12 the survivors' largest degree runs from 0 to 3 across the
+    # 40 trials; every core census still has the d + 1 entries N'_0..N'_d
+    text = "n = 12\nd = 3\nalpha = 0.3\ntrials = 40\n"
+    rep = run_experiment(parse_config_text(text))
+    assert all(len(rec.core_census) == 4 for rec in rep.records)
+    proc = run_module("experiment", "--config", "-", "-o", str(tmp_path), input=text)
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads((tmp_path / "report.json").read_text())["records"]) == 40
 
 
 def test_uniformity_exit_code(capsys):

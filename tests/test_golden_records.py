@@ -19,7 +19,7 @@ import os
 
 import pytest
 
-from perclab.harness import ExperimentConfig, run_experiment
+from perclab.harness import ExperimentConfig, finite, run_experiment
 
 PATH = os.path.join(os.path.dirname(__file__), "data", "golden_records.json")
 
@@ -38,7 +38,7 @@ EIGENSOLVER_FIELDS = ("lambda2", "beta_lower")
 
 def records(config: dict) -> list[dict]:
     """JSON-ready records of one configuration, without runtime_ms."""
-    recs = run_experiment(ExperimentConfig(**config)).to_dict()["records"]
+    recs = finite(run_experiment(ExperimentConfig(**config)))["records"]
     for rec in recs:
         del rec["runtime_ms"]
     return recs

@@ -13,8 +13,9 @@ from perclab.harness import (
     ExperimentConfig,
     aggregate_records,
     csv_columns,
+    finite,
+    json_text,
     parse_config_text,
-    read_config,
     run_experiment,
     run_trial,
     write_csv,
@@ -71,7 +72,8 @@ def test_config_text_roundtrip():
 def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text(CONFIG_TEXT)
-    assert read_config(path) == small_config(eta=0.3, mode="simple", exhaustive_expansion=True)
+    cfg = small_config(eta=0.3, mode="simple", exhaustive_expansion=True)
+    assert parse_config_text(path.read_text()) == cfg
 
 
 def test_config_text_comments_and_errors():
@@ -168,7 +170,7 @@ def test_worker_count_does_not_change_results():
     cfg = small_config(trials=4)
     seq = run_experiment(cfg, workers=1)
     par = run_experiment(cfg, workers=2)
-    a, b = seq.to_dict(), par.to_dict()
+    a, b = finite(seq), finite(par)
     for report in (a, b):
         del report["aggregate"]["mean_runtime_ms"]
         for rec in report["records"]:
@@ -178,7 +180,7 @@ def test_worker_count_does_not_change_results():
 
 def test_report_json_is_loadable():
     rep = run_experiment(small_config(trials=2))
-    payload = json.loads(rep.to_json())
+    payload = json.loads(json_text(rep))
     assert payload["config"]["n"] == 400
     assert len(payload["records"]) == 2
     assert "predictions" in payload

@@ -39,17 +39,26 @@ RANDOM_TEXT = st.one_of(
 @st.composite
 def near(draw, valid: str) -> str:
     """valid text after one to three line edits: drop a line, repeat it,
-    append a token to it or replace one of its tokens."""
+    append a token to it, replace one of its tokens, or (on a pair line)
+    replace one endpoint with an endpoint of another pair line."""
     rows = [ln.split() for ln in valid.splitlines()]
     for _ in range(draw(st.integers(1, 3))):
         if not rows:
             break
         i = draw(st.integers(0, len(rows) - 1))
-        action = draw(st.sampled_from(["drop", "repeat", "append", "replace"]))
+        action = draw(st.sampled_from(["drop", "repeat", "append", "replace", "reuse"]))
+        # pair lines "b1 p1 b2 p2" follow the header line
+        pair_rows = [j for j in range(1, len(rows)) if j != i and len(rows[j]) == 4]
         if action == "drop":
             del rows[i]
         elif action == "repeat":
             rows.insert(i, list(rows[i]))
+        elif action == "reuse" and i > 0 and len(rows[i]) == 4 and pair_rows:
+            # a point matched twice, with the line count still half the
+            # degree sum
+            j = draw(st.sampled_from(pair_rows))
+            a, b = draw(st.sampled_from([0, 2])), draw(st.sampled_from([0, 2]))
+            rows[i][a:a + 2] = rows[j][b:b + 2]
         elif action == "append" or not rows[i]:
             rows[i].append(draw(TOKENS))
         else:

@@ -16,6 +16,7 @@ from scipy.linalg import eigh_tridiagonal
 from perclab import expansion
 from perclab.pairing import DegreeSequence, Multigraph, sample_configuration, project
 from perclab.decomposition import classify_components, kernel, two_core
+from perclab.harness import json_text
 from perclab.percolation import DeletionParams, apply_deletion, choose_deletion_set
 from perclab.expansion import (
     certify,
@@ -298,11 +299,12 @@ def test_certify_with_run_information():
 def test_certificate_dict_is_json_friendly():
     import json
 
-    cert = certify(k4())
-    payload = cert.to_dict()
-    json.dumps(payload)
+    payload = json.loads(json_text(certify(k4()).to_dict()))
     assert payload["witness"] == [1, 2]  # 1-based
     assert payload["n"] == 4
+    # one vertex: infinite expansion and no lambda2 are written as null
+    payload = json.loads(json_text(certify(Multigraph(1, np.zeros((0, 2)))).to_dict()))
+    assert payload["exact_beta"] is None and payload["lambda2"] is None
 
 
 def test_certify_beyond_exhaustive_limit():

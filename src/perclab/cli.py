@@ -18,6 +18,7 @@ from perclab.expansion import certify
 from perclab.harness import json_text, parse_config_text, run_experiment, write_csv
 from perclab.pairing import (
     SamplingFailureError,
+    content_lines,
     parse_configuration,
     parse_multigraph,
     project,
@@ -52,7 +53,7 @@ def _write_output(text: str, path: str | None) -> None:
 
 def _graph_from_text(text: str):
     """Accept an outcome, a configuration, or a bare edge list."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = content_lines(text)
     if any(ln.startswith("deleted:") for ln in lines):
         out = parse_outcome(text)
         return project(out.survivor)

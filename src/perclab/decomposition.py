@@ -337,11 +337,9 @@ class Bushes:
         return _members(self.labels, self.sizes, np.arange(len(self)))
 
 
-def bushes(g: Multigraph, core: TwoCore | None = None) -> Bushes:
-    """Components of the graph minus the cyclic (2-core) edges, skipping
-    the trivial singletons that are bare core vertices."""
-    if core is None:
-        core = two_core(g)
+def bushes(g: Multigraph, core: TwoCore) -> Bushes:
+    """Components of the graph minus the cyclic edges of its 2-core
+    ``core``, skipping the trivial singletons that are bare core vertices."""
     acyclic = np.compress(~core.edge_mask, g.edges, axis=0)
     in_bush = ~core.alive
     in_bush[acyclic.ravel()] = True
@@ -371,15 +369,19 @@ GIANT, TREE, CYCLE, OTHER = range(4)
 
 @dataclass(eq=False)
 class ComponentReport:
-    """labels[v] is v's component; kinds[c] is GIANT for the giant and
-    TREE, CYCLE or OTHER for every other component."""
+    """labels[v] is v's component; kinds[c] is GIANT for the giant
+    (giant_label, None when there is no vertex) and TREE, CYCLE or OTHER
+    for every other component."""
 
     n_components: int
     labels: np.ndarray
     sizes: np.ndarray
     kinds: np.ndarray
     giant_label: int | None
-    giant_size: int
+
+    @property
+    def giant_size(self) -> int:
+        return 0 if self.giant_label is None else int(self.sizes[self.giant_label])
 
     @property
     def connected(self) -> bool:
@@ -428,20 +430,14 @@ def classify_components(g: Multigraph) -> ComponentReport:
     kinds[edge_counts == sizes - 1] = TREE
     kinds[(edge_counts == sizes) & (off_two == 0)] = CYCLE
 
-    giant_label, giant_size = None, 0
+    giant_label = None
     if ncomp:
         # labels follow smallest vertices, so the first maximum is the
         # component holding the first vertex of any maximum-size one
         giant_label = int(np.argmax(sizes))
-        giant_size = int(sizes[giant_label])
         kinds[giant_label] = GIANT
     return ComponentReport(
-        n_components=int(ncomp),
-        labels=labels,
-        sizes=sizes,
-        kinds=kinds,
-        giant_label=giant_label,
-        giant_size=giant_size,
+        n_components=int(ncomp), labels=labels, sizes=sizes, kinds=kinds, giant_label=giant_label
     )
 
 

@@ -27,17 +27,11 @@ EXHAUSTIVE_LIMIT = 20
 LANCZOS_TOL = 1e-8  # relative Ritz residual at which Lanczos stops
 LANCZOS_MAX_STEPS = 10_000  # operator applications before it gives up
 
-_POP16 = None
-
 
 def _popcount(x: np.ndarray) -> np.ndarray:
-    """Bit count for nonnegative int64 arrays below 2**32."""
-    global _POP16
-    if _POP16 is None:
-        _POP16 = np.array(
-            [bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8
-        )
-    return _POP16[x & 0xFFFF].astype(np.int64) + _POP16[(x >> 16) & 0xFFFF]
+    """Bit counts as int64, so that products of counts (_best_ratio's
+    cross-multiplication) cannot overflow a small integer type."""
+    return np.bitwise_count(x).astype(np.int64)
 
 
 class ExactExpansion(NamedTuple):
@@ -256,7 +250,6 @@ class DiameterCheck(NamedTuple):
     diameter: float
     bound: float
     passed: bool
-    connected: bool
 
 
 def distance_matrix(g: Multigraph) -> np.ndarray:
@@ -278,14 +271,14 @@ def diameter_check(g: Multigraph, beta: float) -> DiameterCheck:
     """
     n = g.n
     if n == 0 or beta <= 0:
-        return DiameterCheck(math.inf, math.inf, False, False)
+        return DiameterCheck(math.inf, math.inf, False)
     dist = distance_matrix(g)
     diam = float(dist.max()) if n > 1 else 0.0
     if math.isinf(diam):
-        return DiameterCheck(diam, math.nan, False, False)
+        return DiameterCheck(diam, math.nan, False)
     log_half = math.log(n / 2.0) / math.log(1.0 + beta)
     bound = 2.0 * log_half + 2.0
-    return DiameterCheck(diam, bound, diam <= bound + 1e-9, True)
+    return DiameterCheck(diam, bound, diam <= bound + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +290,7 @@ class ReinstatementCheck:
     passed: bool
     chain_ok: bool
     beta_prime: float
-    beta_certified: float
     beta_hat: float
-    subsets_checked: int
 
 
 def reinstatement_expansion_check(
@@ -361,12 +352,7 @@ def reinstatement_expansion_check(
     chain_ok = bool(np.all(out[heavy] >= need[heavy]))
 
     return ReinstatementCheck(
-        passed=bool(passed),
-        chain_ok=chain_ok,
-        beta_prime=bp.value,
-        beta_certified=float(cert),
-        beta_hat=bh.value,
-        subsets_checked=int(np.count_nonzero(heavy)),
+        passed=bool(passed), chain_ok=chain_ok, beta_prime=bp.value, beta_hat=bh.value
     )
 
 

@@ -199,11 +199,6 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     )
 
 
-def _trial_job(payload) -> TrialRecord:
-    config_kwargs, idx = payload
-    return run_trial(ExperimentConfig(**config_kwargs), idx)
-
-
 @dataclass
 class ExperimentReport:
     config: ExperimentConfig
@@ -282,9 +277,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     if workers <= 1 or config.trials <= 1:
         records = [run_trial(config, i) for i in idxs]
     else:
-        payloads = [(asdict(config), i) for i in idxs]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_trial_job, payloads))
+            records = list(pool.map(run_trial, [config] * config.trials, idxs))
 
     preds = None
     if config.alpha is not None and config.d >= 3:

@@ -74,10 +74,6 @@ class DegreeSequence:
         return int(self.offsets[-1])
 
     @property
-    def m(self) -> int:
-        return self.total_points // 2
-
-    @property
     def bucket_of_point(self) -> np.ndarray:
         return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
 
@@ -85,9 +81,6 @@ class DegreeSequence:
         if not isinstance(other, DegreeSequence):
             return NotImplemented
         return np.array_equal(self.degrees, other.degrees)
-
-    def __len__(self) -> int:
-        return self.n
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,10 +100,6 @@ class Configuration:
     @property
     def n(self) -> int:
         return self.seq.n
-
-    @property
-    def m(self) -> int:
-        return self.seq.m
 
     def __eq__(self, other):
         if not isinstance(other, Configuration):
@@ -152,13 +141,22 @@ class Multigraph:
 
         Every non-loop edge appears once from each endpoint; a loop (v, v)
         appears twice in v's slice, matching its degree contribution.
+        Slot i < m is edge i seen from its first end, slot m + i from its
+        second.  The slots are sorted stably by their source vertex by
+        counting: that is the CSR of the n x 2m slot matrix, which scipy
+        fills in linear time, where argsort is several times slower on
+        unordered keys.
         """
         if self._adj is None:
             src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
             dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-            eid = np.tile(np.arange(self.m, dtype=np.int64), 2)
-            indptr, order = counting_sort(src, self.n)
-            self._adj = (indptr, dst[order], eid[order])
+            slot = np.arange(src.size, dtype=np.int64)
+            by_src = csr_matrix(
+                (np.ones(src.size, dtype=np.int8), (src, slot)), shape=(self.n, src.size)
+            )
+            order = by_src.indices
+            eid = np.remainder(order, self.m, dtype=np.int64)
+            self._adj = (by_src.indptr.astype(np.int64), dst[order], eid)
         return self._adj
 
     def induced(self, mask: np.ndarray) -> tuple["Multigraph", np.ndarray]:
@@ -182,17 +180,6 @@ class Multigraph:
         return self.n == other.n and np.array_equal(
             canonical_edges(self.edges), canonical_edges(other.edges)
         )
-
-
-def counting_sort(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, order): a stable sort of ``keys``, values in 0..n-1, by
-    counting; key k's positions are order[indptr[k]:indptr[k+1]], in
-    increasing order.  That is the CSR of the n x len(keys) slot matrix,
-    which scipy fills in linear time, where argsort is several times slower
-    on unordered keys."""
-    slot = np.arange(keys.size, dtype=np.int64)
-    by_key = csr_matrix((np.ones(keys.size, dtype=np.int8), (keys, slot)), shape=(n, keys.size))
-    return by_key.indptr.astype(np.int64), by_key.indices
 
 
 def canonical_edges(edges: np.ndarray) -> np.ndarray:
@@ -345,6 +332,12 @@ def format_configuration(config: Configuration) -> str:
     return "\n".join(lines) + "\n"
 
 
+def content_lines(text: str) -> list[str]:
+    """The stripped lines of ``text`` that are neither blank nor # comments."""
+    lines = (ln.strip() for ln in text.splitlines())
+    return [ln for ln in lines if ln and not ln.startswith("#")]
+
+
 def int64_array(values: list) -> np.ndarray:
     """Parsed integers as an int64 array; one outside int64 is a ValueError."""
     try:
@@ -354,8 +347,7 @@ def int64_array(values: list) -> np.ndarray:
 
 
 def parse_configuration(text: str) -> Configuration:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = content_lines(text)
     if not lines:
         raise ValueError("empty configuration text")
     n, *degrees = (int(x) for x in lines[0].split())
@@ -391,8 +383,7 @@ def format_multigraph(g: Multigraph) -> str:
 
 
 def parse_multigraph(text: str) -> Multigraph:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = content_lines(text)
     if not lines:
         raise ValueError("empty multigraph text")
     n = int(lines[0])

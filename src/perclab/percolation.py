@@ -15,6 +15,7 @@ import numpy as np
 from perclab.pairing import (
     Configuration,
     DegreeSequence,
+    content_lines,
     format_configuration,
     int64_array,
     parse_configuration,
@@ -58,7 +59,6 @@ class PercolationOutcome:
     buckets.
     """
 
-    original_n: int
     deleted: np.ndarray
     survivor: Configuration
     census: np.ndarray
@@ -110,35 +110,22 @@ def apply_deletion(config: Configuration, deleted) -> PercolationOutcome:
     # relabel points in order, which keeps the pairs canonical
     new_id = np.cumsum(keep_point) - 1
     survivor = Configuration(DegreeSequence(new_degrees), new_id[kept])
-    return PercolationOutcome(original_n=n, deleted=deleted, survivor=survivor, census=census)
+    return PercolationOutcome(deleted=deleted, survivor=survivor, census=census)
 
 
 def reinstate(
-    original: Configuration,
-    outcome: PercolationOutcome,
-    winners=None,
-    q: float | None = None,
-    seed=None,
+    original: Configuration, outcome: PercolationOutcome, q: float, seed=None
 ) -> PercolationOutcome:
-    """Undo the deletion of ``winners`` (a subset of the deleted buckets).
-
-    When winners is None each deleted bucket independently stays deleted
-    with probability q, so a first round at rate p1 followed by
-    reinstatement composes to a single round at rate p1*q.  Reinstated
-    buckets get back exactly the pairs whose other endpoint also lives.
+    """Reinstate the deleted buckets of ``outcome``, each of which stays
+    deleted independently with probability q, so that a first round at
+    rate p1 followed by reinstatement composes to a single round at rate
+    p1*q.  Reinstated buckets get back exactly the pairs whose other
+    endpoint also lives.
     """
-    if winners is None:
-        if q is None or not (0 <= q <= 1):
-            raise ValueError("need winners or a keep-deleted probability q in [0,1]")
-        rng = np.random.default_rng(seed)
-        stay = rng.random(outcome.r) < q
-        winners = outcome.deleted[~stay]
-    else:
-        winners = np.unique(np.asarray(winners, dtype=np.int64))
-        if np.setdiff1d(winners, outcome.deleted).size:
-            raise ValueError("winners must be a subset of the deleted buckets")
-    still_deleted = np.setdiff1d(outcome.deleted, winners)
-    return apply_deletion(original, still_deleted)
+    if not (0 <= q <= 1):
+        raise ValueError("need a keep-deleted probability q in [0,1]")
+    stay = np.random.default_rng(seed).random(outcome.r) < q
+    return apply_deletion(original, outcome.deleted[stay])
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +141,14 @@ def format_outcome(outcome: PercolationOutcome) -> str:
 
 
 def parse_outcome(text: str) -> PercolationOutcome:
-    lines = text.splitlines()
     deleted = None
     census = None
     body = []
-    for ln in lines:
-        s = ln.strip()
-        if s.startswith("deleted:"):
-            deleted = int64_array([int(x) - 1 for x in s[len("deleted:"):].split()])
-        elif s.startswith("census:"):
-            census = int64_array([int(x) for x in s[len("census:"):].split()])
+    for ln in content_lines(text):
+        if ln.startswith("deleted:"):
+            deleted = int64_array([int(x) - 1 for x in ln[len("deleted:"):].split()])
+        elif ln.startswith("census:"):
+            census = int64_array([int(x) for x in ln[len("census:"):].split()])
         else:
             body.append(ln)
     if deleted is None or census is None:
@@ -178,6 +163,4 @@ def parse_outcome(text: str) -> PercolationOutcome:
     expected = np.bincount(survivor.seq.degrees, minlength=max(census.size, 1))
     if not np.array_equal(census, expected):
         raise ValueError("census line does not match the survivor's degrees")
-    return PercolationOutcome(
-        original_n=original_n, deleted=deleted, survivor=survivor, census=census
-    )
+    return PercolationOutcome(deleted=deleted, survivor=survivor, census=census)

@@ -62,7 +62,7 @@ def test_percolate_pipeline(tmp_path, capsys):
     )
     assert code == 0
     out = parse_outcome(outc.read_text())
-    assert out.original_n == 30
+    assert out.survivor.n + out.r == 30
     assert sum(out.census) == 30 - out.r
 
 

@@ -377,7 +377,8 @@ def test_runs_on_k4():
 
 
 def test_bushes_of_triangle_with_tail():
-    out = bushes(triangle_with_tail())
+    g = triangle_with_tail()
+    out = bushes(g, two_core(g))
     # the tail hangs off core vertex 0; vertex 5 is a rootless singleton;
     # core vertices 1 and 2 belong to no bush
     assert out.labels.tolist() == [0, -1, -1, 0, 0, 1]
@@ -389,14 +390,15 @@ def test_bushes_of_triangle_with_tail():
 
 def test_bare_core_has_no_bushes():
     for g in (cycle(5), k4()):
-        out = bushes(g)
+        out = bushes(g, two_core(g))
         assert len(out) == 0 and out.max_size == 0
         assert out.vertices() == []
         assert np.all(out.labels == -1) and out.labels.size == g.n
 
 
 def test_isolated_tree_is_a_rootless_bush():
-    out = bushes(path(4))
+    g = path(4)
+    out = bushes(g, two_core(g))
     assert len(out) == 1
     assert out.roots.tolist() == [-1]
     assert [v.tolist() for v in out.vertices()] == [[0, 1, 2, 3]]
@@ -617,7 +619,7 @@ def test_components_and_bushes_on_unordered_edge_lists():
         kinds.update(k for k, comps in expect.items() if comps)
         assert_bushes_match_networkx(nx, h)
         assert np.array_equal(classify_components(h).labels, classify_components(g).labels)
-        assert np.array_equal(bushes(h).labels, bushes(g).labels)
+        assert np.array_equal(bushes(h, two_core(h)).labels, bushes(g, two_core(g)).labels)
     assert kinds == {TREE, CYCLE, OTHER}
     assert any(np.any(g.edges[:, 0] == g.edges[:, 1]) for g in graphs)
 

@@ -194,14 +194,14 @@ def test_distance_matrix_on_cycle():
 def test_diameter_check():
     chk = diameter_check(k4(), beta=1.0)
     assert chk.diameter == 1
-    assert chk.passed and chk.connected
+    assert chk.passed
     chk2 = diameter_check(cycle(6), beta=2 / 3)
     assert chk2.diameter == 3
     assert chk2.passed
     # disconnected graphs have no finite diameter
     g = Multigraph(4, np.array([[0, 1], [2, 3]]))
     chk3 = diameter_check(g, beta=0.5)
-    assert not chk3.connected
+    assert math.isinf(chk3.diameter)
     assert not chk3.passed
 
 
@@ -216,9 +216,7 @@ def test_reinstate_one_vertex_into_cycle():
     chk = reinstatement_expansion_check(gprime, [8], ghat)
     assert chk.passed and chk.chain_ok
     assert chk.beta_prime == pytest.approx(0.25)
-    assert chk.beta_certified == pytest.approx(0.25)
     assert chk.beta_hat == pytest.approx(0.5)
-    assert chk.subsets_checked >= 1
 
 
 def test_reinstate_rejects_close_vertices():
@@ -266,7 +264,7 @@ def test_reinstate_heavy_subsets_on_regular_graph():
         keep[w] = False
         gprime, _ = g.induced(keep)
         chk = reinstatement_expansion_check(gprime, w, g)
-        assert chk.subsets_checked >= len(w)
+        assert chk.passed and chk.chain_ok
         return
     pytest.skip("no admissible cubic example found")
 

@@ -41,7 +41,7 @@ def triangle_config() -> Configuration:
 
 def test_triangle_minus_middle_bucket():
     out = apply_deletion(triangle_config(), np.array([1]))
-    assert out.original_n == 3
+    assert out.survivor.n + out.r == 3
     assert np.array_equal(out.deleted, [1])
     assert out.r == 1
     assert np.array_equal(out.census, [0, 2, 0])
@@ -91,7 +91,7 @@ def assert_delete_after_project(cfg, deleted):
     want = project(out.survivor)
     assert got.n == want.n
     assert got.edges.dtype == want.edges.dtype and np.array_equal(got.edges, want.edges)
-    assert np.array_equal(labels, np.setdiff1d(np.arange(out.original_n), out.deleted))
+    assert np.array_equal(labels, np.setdiff1d(np.arange(out.survivor.n + out.r), out.deleted))
     d = int(cfg.seq.degrees.max())
     assert np.array_equal(np.bincount(got.degree, minlength=d + 1), out.census)
 
@@ -197,7 +197,7 @@ def test_percolate_is_deterministic():
 def test_reinstate_all_recovers_original():
     cfg = sample_configuration(DegreeSequence.regular(30, 3), seed=6)
     out = apply_deletion(cfg, choose_deletion_set(DeletionParams(n=30, p=0.4, seed=2)))
-    back = reinstate(cfg, out, winners=out.deleted)
+    back = reinstate(cfg, out, q=0.0)
     assert back.r == 0
     assert back.survivor == cfg
 
@@ -205,17 +205,9 @@ def test_reinstate_all_recovers_original():
 def test_reinstate_none_is_noop():
     cfg = sample_configuration(DegreeSequence.regular(30, 3), seed=6)
     out = apply_deletion(cfg, choose_deletion_set(DeletionParams(n=30, p=0.4, seed=2)))
-    again = reinstate(cfg, out, winners=np.zeros(0, dtype=np.int64))
+    again = reinstate(cfg, out, q=1.0)
     assert np.array_equal(again.deleted, out.deleted)
     assert again.survivor == out.survivor
-
-
-def test_reinstate_rejects_non_deleted_winners():
-    cfg = sample_configuration(DegreeSequence.regular(30, 3), seed=6)
-    out = apply_deletion(cfg, choose_deletion_set(DeletionParams(n=30, p=0.4, seed=2)))
-    alive = np.setdiff1d(np.arange(30), out.deleted)[:1]
-    with pytest.raises(ValueError):
-        reinstate(cfg, out, winners=alive)
 
 
 def test_reinstate_q_extremes():
@@ -295,7 +287,7 @@ def test_outcome_text_roundtrip(case):
     cfg = sample_configuration(DegreeSequence(degs), seed=seed)
     out = apply_deletion(cfg, deleted)
     back = parse_outcome(format_outcome(out))
-    assert back.original_n == out.original_n
+    assert back.survivor.n + back.r == out.survivor.n + out.r
     assert np.array_equal(back.deleted, out.deleted)
     assert np.array_equal(back.census, out.census)
     assert back.survivor == out.survivor

@@ -1,11 +1,12 @@
 """Golden records: 77 trials over 7 configurations, recomputed and
 compared with tests/data/golden_records.json.
 
-The file was written by the build that still solved for lambda2 with
-ARPACK (`eigsh`), so this test is the check that later builds give the
-same records.  Integer, boolean, tuple and derived float fields must
-match exactly; the eigensolver's outputs (`lambda2`, `beta_lower`) to a
-relative 1e-9, since their last bits depend on the solver and the BLAS.
+The file was written by the build whose Lanczos solve stops at a relative
+residual of 1e-3 and reports lambda2 = 1 - theta - rho, so this test is
+the check that later builds give the same records.  Integer, boolean,
+tuple and derived float fields must match exactly; the eigensolver's
+outputs (`lambda2`, `beta_lower`) to a relative 1e-9, since their last
+bits depend on the BLAS.
 
 A change that means to alter records rewrites the file with
 

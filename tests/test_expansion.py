@@ -430,8 +430,7 @@ def test_dropping_the_residual_overstates_lambda2(monkeypatch):
     monkeypatch.setattr(expansion, "_top_eigenvalue", lambda op, v: (real(op, v)[0], 0.0))
     cases = [(sparse_case(case), case) for case in range(12)]
     cases += [(g, 0) for g in SMALL_GRAPHS.values()] + [(bottleneck(), 0)]
-    over = [spectral_lower_bound(g, seed=seed).lambda2 > dense_lambda2(g) + 1e-12 for g, seed in cases]
-    assert len(over) == 79 and any(over)
+    assert any(spectral_lower_bound(g, seed=seed).lambda2 > dense_lambda2(g) + 1e-12 for g, seed in cases)
 
 
 def test_sparse_spectral_is_deterministic():

@@ -141,7 +141,7 @@ class AcceptanceContext:
         while len(cases) < 200:
             n = int(rng.choice([12, 14, 16]))
             try:
-                _, ghat, _ = sample_simple_regular(n, 3, rng, retry_cap=200)
+                ghat, _ = sample_simple_regular(n, 3, rng, retry_cap=200)
             except SamplingFailureError:
                 continue
             dist = distance_matrix(ghat)

@@ -17,23 +17,15 @@ from perclab.decomposition import decompose
 from perclab.expansion import certify
 from perclab.harness import json_text, parse_config_text, run_experiment, write_csv
 from perclab.pairing import (
+    DegreeSequence,
     SamplingFailureError,
-    content_lines,
-    parse_configuration,
+    format_multigraph,
     parse_multigraph,
     project,
     sample_configuration,
     sample_simple_regular,
-    DegreeSequence,
-    format_configuration,
 )
-from perclab.percolation import (
-    DeletionParams,
-    apply_deletion,
-    choose_deletion_set,
-    format_outcome,
-    parse_outcome,
-)
+from perclab.percolation import DeletionParams, choose_deletion_set, delete_vertices
 
 
 def _read_input_text(path: str) -> str:
@@ -51,46 +43,34 @@ def _write_output(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _graph_from_text(text: str):
-    """Accept an outcome, a configuration, or a bare edge list."""
-    lines = content_lines(text)
-    if any(ln.startswith("deleted:") for ln in lines):
-        out = parse_outcome(text)
-        return project(out.survivor)
-    if lines and len(lines[0].split()) == 1:
-        return parse_multigraph(text)
-    return project(parse_configuration(text))
-
-
 def cmd_sample(args) -> int:
     if args.multigraph:
-        config = sample_configuration(
-            DegreeSequence.regular(args.n, args.d), args.seed
-        )
+        g = project(sample_configuration(DegreeSequence.regular(args.n, args.d), args.seed))
     else:
-        config, _, rejections = sample_simple_regular(args.n, args.d, args.seed)
+        g, rejections = sample_simple_regular(args.n, args.d, args.seed)
         print(f"# rejections before a simple projection: {rejections}", file=sys.stderr)
-    _write_output(format_configuration(config), args.output)
+    _write_output(format_multigraph(g), args.output)
     return 0
 
 
 def cmd_percolate(args) -> int:
-    config = parse_configuration(_read_input_text(args.input))
-    params = DeletionParams(config.n, alpha=args.alpha, p=args.p, seed=args.seed)
-    outcome = apply_deletion(config, choose_deletion_set(params))
-    _write_output(format_outcome(outcome), args.output)
+    g = parse_multigraph(_read_input_text(args.input))
+    params = DeletionParams(g.n, alpha=args.alpha, p=args.p, seed=args.seed)
+    deleted = choose_deletion_set(params)
+    header = " ".join(["# deleted:", *(str(v + 1) for v in deleted.tolist())])
+    _write_output(header + "\n" + format_multigraph(delete_vertices(g, deleted)), args.output)
     return 0
 
 
 def cmd_analyze(args) -> int:
-    g = _graph_from_text(_read_input_text(args.input))
+    g = parse_multigraph(_read_input_text(args.input))
     dec = decompose(g)
     _write_output(json_text(dec.report()), args.output)
     return 0
 
 
 def cmd_expansion(args) -> int:
-    g = _graph_from_text(_read_input_text(args.input))
+    g = parse_multigraph(_read_input_text(args.input))
     run = decompose(g).kernel.longest_run
     cert = certify(g, exact=not args.bounds, longest_run=run, seed=args.seed)
     _write_output(json_text(cert.to_dict()), args.output)
@@ -149,20 +129,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sample", help="sample a d-regular configuration")
+    p = sub.add_parser("sample", help="sample a d-regular graph's edge list")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument(
         "--multigraph",
         action="store_true",
-        help="keep the raw pairing (default: reject until simple)",
+        help="keep the raw pairing's projection (default: reject until simple)",
     )
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("percolate", help="delete buckets at rate p = n^-alpha")
-    p.add_argument("-i", "--input", required=True, help="configuration file ('-' = stdin)")
+    p = sub.add_parser("percolate", help="delete vertices at rate p = n^-alpha")
+    p.add_argument("-i", "--input", required=True, help="edge-list file ('-' = stdin)")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--alpha", type=float, default=None)
     group.add_argument("--p", type=float, default=None)

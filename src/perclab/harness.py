@@ -27,7 +27,12 @@ from perclab.pairing import (
     sample_simple_regular,
 )
 # run_trial never calls apply_deletion; perfbench/worker.py wraps harness.apply_deletion.
-from perclab.percolation import DeletionParams, apply_deletion, choose_deletion_set  # noqa: F401
+from perclab.percolation import (  # noqa: F401
+    DeletionParams,
+    apply_deletion,
+    choose_deletion_set,
+    delete_vertices,
+)
 
 
 @dataclass(frozen=True)
@@ -126,19 +131,15 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
 
     rejections = 0
     if config.mode == "simple":
-        _, full, rejections = sample_simple_regular(config.n, config.d, rng)
+        full, rejections = sample_simple_regular(config.n, config.d, rng)
     else:
         full = project(sample_configuration(DegreeSequence.regular(config.n, config.d), rng))
 
-    # Deleting a bucket removes every pair that touches it, so deletion
-    # commutes with projection: the induced subgraph on the survivors is
-    # project(apply_deletion(cfg, deleted).survivor), row for row.
+    # deletion commutes with projection (see perclab.percolation)
     params = DeletionParams(config.n, alpha=config.alpha, p=config.p, seed=rng)
     prob = params.prob
     deleted = choose_deletion_set(params)
-    alive = np.ones(config.n, dtype=bool)
-    alive[deleted] = False
-    graph, _ = full.induced(alive)
+    graph = delete_vertices(full, deleted)
     del full  # frees the unpercolated edges before decompose sets the memory peak
     census = np.bincount(graph.degree, minlength=config.d + 1)
 

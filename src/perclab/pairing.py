@@ -8,8 +8,8 @@ Conditioning on the projection being simple recovers the uniform simple
 d-regular graph, at the price of rejection sampling.
 
 Points are indexed globally: bucket b owns the contiguous block
-offsets[b] .. offsets[b+1]-1.  Externally (text files) buckets and the
-points inside them are 1-based; everything in memory is 0-based.
+offsets[b] .. offsets[b+1]-1.  The one text format is the projected edge
+list, whose vertex labels are 1-based; everything in memory is 0-based.
 """
 
 from __future__ import annotations
@@ -90,8 +90,7 @@ class Configuration:
     ``pairs`` is an (m, 2) array of global point ids in canonical form:
     u < v in each row, rows in increasing u, and every point in exactly
     one row.  The constructor trusts its caller: the sampler and
-    ``apply_deletion`` build this form, and ``parse_configuration`` checks
-    text before it gets here.
+    ``apply_deletion`` are the only producers, and both build this form.
     """
 
     seq: DegreeSequence
@@ -251,7 +250,7 @@ def sample_simple_regular(
 ):
     """Uniform simple d-regular graph by rejection on the pairing model.
 
-    Returns (configuration, graph, rejections).  Conditioned on simplicity
+    Returns (graph, rejections).  Conditioned on simplicity
     the projection is uniform over simple d-regular graphs, so rejection
     is exact.  Raises SamplingFailureError after ``retry_cap`` rejections
     (e.g. n=2, d=3, where no simple realization exists).
@@ -262,7 +261,7 @@ def sample_simple_regular(
         config = sample_configuration(seq, rng)
         graph = project(config)
         if is_simple(graph):
-            return config, graph, attempt
+            return graph, attempt
     raise SamplingFailureError(
         f"no simple {d}-regular graph on {n} vertices after {retry_cap} attempts"
     )
@@ -311,25 +310,7 @@ def enumerate_matchings(total_points: int) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# plain-text serialization
-#
-# configuration format:   header "n d_1 ... d_n", then one line per pair
-# "b1 p1 b2 p2" (bucket and within-bucket point, both 1-based), pairs in
-# canonical order.  multigraph format: one line "u v" per edge, 1-based,
-# loops as "v v".
-
-
-def format_configuration(config: Configuration) -> str:
-    seq = config.seq
-    lines = [" ".join(["%d" % seq.n] + ["%d" % d for d in seq.degrees])]
-    bop = seq.bucket_of_point
-    off = seq.offsets
-    for u, v in config.pairs:
-        bu, bv = bop[u], bop[v]
-        lines.append(
-            "%d %d %d %d" % (bu + 1, u - off[bu] + 1, bv + 1, v - off[bv] + 1)
-        )
-    return "\n".join(lines) + "\n"
+# edge-list text
 
 
 def content_lines(text: str) -> list[str]:
@@ -338,46 +319,9 @@ def content_lines(text: str) -> list[str]:
     return [ln for ln in lines if ln and not ln.startswith("#")]
 
 
-def int64_array(values: list) -> np.ndarray:
-    """Parsed integers as an int64 array; one outside int64 is a ValueError."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        raise ValueError("integer outside the int64 range") from None
-
-
-def parse_configuration(text: str) -> Configuration:
-    lines = content_lines(text)
-    if not lines:
-        raise ValueError("empty configuration text")
-    n, *degrees = (int(x) for x in lines[0].split())
-    if len(degrees) != n:
-        raise ValueError(f"header says n={n} but lists {len(degrees)} degrees")
-    body = lines[1:]
-    # summed as Python ints, before the header sizes any array
-    if sum(degrees) != 2 * len(body):
-        raise ValueError(
-            f"the degrees sum to {sum(degrees)}, but {len(body)} pair lines hold {2 * len(body)} points"
-        )
-    seq = DegreeSequence(int64_array(degrees))
-    used = np.zeros(seq.total_points, dtype=bool)
-    pairs = []
-    for ln in body:
-        b1, p1, b2, p2 = (int(x) for x in ln.split())
-        if not (1 <= b1 <= n and 1 <= b2 <= n):
-            raise ValueError(f"bucket label out of range 1..{n}: {ln!r}")
-        if not (1 <= p1 <= degrees[b1 - 1] and 1 <= p2 <= degrees[b2 - 1]):
-            raise ValueError(f"point out of bucket range: {ln!r}")
-        u = seq.offsets[b1 - 1] + (p1 - 1)
-        v = seq.offsets[b2 - 1] + (p2 - 1)
-        if used[u] or used[v] or u == v:
-            raise ValueError(f"point matched twice: {ln!r}")
-        used[u] = used[v] = True
-        pairs.append((u, v))
-    return Configuration(seq, canonical_edges(np.array(pairs, dtype=np.int64)))
-
-
 def format_multigraph(g: Multigraph) -> str:
+    """The vertex count, then one "u v" line per edge, 1-based and in
+    canonical order; a loop is "v v"."""
     lines = ["%d %d" % (u + 1, v + 1) for u, v in canonical_edges(g.edges)]
     return "\n".join(["%d" % g.n] + lines) + "\n"
 
@@ -395,7 +339,10 @@ def parse_multigraph(text: str) -> Multigraph:
     for ln in lines[1:]:
         u, v = (int(x) for x in ln.split())
         edges.append((u - 1, v - 1))
-    e = int64_array(edges)
+    try:
+        e = np.array(edges, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("integer outside the int64 range") from None
     if e.size and (e.min() < 0 or e.max() >= n):
         raise ValueError("edge endpoint out of range")
     return Multigraph(n, e)

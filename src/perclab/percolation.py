@@ -1,9 +1,12 @@
-"""Vertex deletion on configurations.
+"""Vertex deletion on configurations and on their projections.
 
 Buckets are deleted independently with probability p (usually n**-alpha).
 Deleting a bucket removes every pair touching one of its points; the
 survivors keep their relative order, so the surviving configuration uses
 compacted labels 0..n-r-1: new label i is the i-th surviving original.
+Because every pair touching a deleted bucket goes, deletion commutes with
+projection: deleting the same vertices of ``project(config)`` gives
+``project(apply_deletion(config, deleted).survivor)`` row for row.
 """
 
 from __future__ import annotations
@@ -12,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from perclab.pairing import (
-    Configuration,
-    DegreeSequence,
-    content_lines,
-    format_configuration,
-    int64_array,
-    parse_configuration,
-)
+from perclab.pairing import Configuration, DegreeSequence, Multigraph
 
 
 @dataclass(frozen=True)
@@ -45,7 +41,8 @@ class DeletionParams:
     def prob(self) -> float:
         if self.p is not None:
             return float(self.p)
-        q = float(self.n) ** -self.alpha
+        # 0 ** -alpha raises ZeroDivisionError, so n = 0 is refused first
+        q = float(self.n) ** -self.alpha if self.n else 0.0
         if not (0 < q < 1):
             raise ValueError(f"n**-alpha = {q} is not a probability; need n >= 2")
         return q
@@ -61,7 +58,6 @@ class PercolationOutcome:
 
     deleted: np.ndarray
     survivor: Configuration
-    census: np.ndarray
 
     @property
     def r(self) -> int:
@@ -74,12 +70,19 @@ def choose_deletion_set(params: DeletionParams) -> np.ndarray:
     return np.flatnonzero(rng.random(params.n) < params.prob).astype(np.int64)
 
 
+def delete_vertices(graph: Multigraph, deleted: np.ndarray) -> Multigraph:
+    """The subgraph induced on the vertices not in ``deleted``, with the
+    survivors relabelled 0..n-r-1 in their original order."""
+    alive = np.ones(graph.n, dtype=bool)
+    alive[deleted] = False
+    return graph.induced(alive)[0]
+
+
 def apply_deletion(config: Configuration, deleted) -> PercolationOutcome:
     """Remove buckets in ``deleted`` and every pair touching them.
 
     Surviving points whose partner died become unmatched and are dropped
-    from the survivor's degree; the census N_0..N_d counts surviving
-    buckets by their remaining degree (d = max original degree).
+    from the survivor's degree.
     """
     n = config.n
     deleted = np.unique(np.asarray(deleted, dtype=np.int64))
@@ -104,13 +107,10 @@ def apply_deletion(config: Configuration, deleted) -> PercolationOutcome:
     lost = np.bincount(bop[cut_points], minlength=n)
     new_degrees = (seq.degrees - lost)[~dead_bucket]
 
-    d_max = int(seq.degrees.max()) if seq.n else 0
-    census = np.bincount(new_degrees, minlength=d_max + 1).astype(np.int64)
-
     # relabel points in order, which keeps the pairs canonical
     new_id = np.cumsum(keep_point) - 1
     survivor = Configuration(DegreeSequence(new_degrees), new_id[kept])
-    return PercolationOutcome(deleted=deleted, survivor=survivor, census=census)
+    return PercolationOutcome(deleted=deleted, survivor=survivor)
 
 
 def reinstate(
@@ -126,41 +126,3 @@ def reinstate(
         raise ValueError("need a keep-deleted probability q in [0,1]")
     stay = np.random.default_rng(seed).random(outcome.r) < q
     return apply_deletion(original, outcome.deleted[stay])
-
-
-# ---------------------------------------------------------------------------
-# serialization: the survivor configuration text plus two trailing lines,
-# "deleted: <original labels, 1-based>" and "census: N_0 .. N_d".
-
-
-def format_outcome(outcome: PercolationOutcome) -> str:
-    body = format_configuration(outcome.survivor)
-    deleted = " ".join(str(int(x) + 1) for x in outcome.deleted)
-    census = " ".join(str(int(c)) for c in outcome.census)
-    return body + f"deleted: {deleted}\ncensus: {census}\n"
-
-
-def parse_outcome(text: str) -> PercolationOutcome:
-    deleted = None
-    census = None
-    body = []
-    for ln in content_lines(text):
-        if ln.startswith("deleted:"):
-            deleted = int64_array([int(x) - 1 for x in ln[len("deleted:"):].split()])
-        elif ln.startswith("census:"):
-            census = int64_array([int(x) for x in ln[len("census:"):].split()])
-        else:
-            body.append(ln)
-    if deleted is None or census is None:
-        raise ValueError("outcome text lacks deleted:/census: lines")
-    survivor = parse_configuration("\n".join(body))
-    original_n = survivor.n + deleted.size
-    if deleted.size and (deleted.min() < 0 or deleted.max() >= original_n):
-        raise ValueError(f"deleted label out of range 1..{original_n}")
-    if np.unique(deleted).size != deleted.size:
-        raise ValueError("deleted label listed twice")
-    # too short a census line yields a longer bincount, so it fails too
-    expected = np.bincount(survivor.seq.degrees, minlength=max(census.size, 1))
-    if not np.array_equal(census, expected):
-        raise ValueError("census line does not match the survivor's degrees")
-    return PercolationOutcome(deleted=deleted, survivor=survivor, census=census)

@@ -1,7 +1,7 @@
 """The canonical form of a pairing, as the tests check it.
 
 ``Configuration`` trusts its caller, so each producer of pairs (the
-sampler, ``apply_deletion``, the parsers) is checked here instead."""
+sampler and ``apply_deletion``) is checked here instead."""
 
 import numpy as np
 

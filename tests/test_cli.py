@@ -14,8 +14,17 @@ import pytest
 import perclab
 from perclab.cli import build_parser, main
 from perclab.harness import parse_config_text, run_experiment
-from perclab.pairing import Multigraph, format_multigraph, parse_configuration
-from perclab.percolation import parse_outcome
+from perclab.pairing import (
+    DegreeSequence,
+    Multigraph,
+    canonical_edges,
+    format_multigraph,
+    is_simple,
+    parse_multigraph,
+    project,
+    sample_configuration,
+)
+from perclab.percolation import DeletionParams, apply_deletion, choose_deletion_set
 
 
 def run_cli(capsys, *argv):
@@ -24,15 +33,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_sample_writes_configuration(tmp_path, capsys):
-    out = tmp_path / "conf.txt"
+def test_sample_writes_edge_list(tmp_path, capsys):
+    out = tmp_path / "graph.txt"
     code, _, err = run_cli(
         capsys, "sample", "--n", "10", "--d", "3", "--seed", "4", "-o", str(out)
     )
     assert code == 0
-    cfg = parse_configuration(out.read_text())
-    assert cfg.seq.n == 10
-    assert np.array_equal(cfg.seq.degrees, np.full(10, 3))
+    g = parse_multigraph(out.read_text())
+    assert g.n == 10
+    assert np.array_equal(g.degree, np.full(10, 3))
+    assert is_simple(g)
 
 
 def test_sample_multigraph_to_stdout(capsys):
@@ -40,8 +50,9 @@ def test_sample_multigraph_to_stdout(capsys):
         capsys, "sample", "--n", "6", "--d", "4", "--seed", "0", "--multigraph"
     )
     assert code == 0
-    cfg = parse_configuration(stdout)
-    assert cfg.seq.n == 6
+    g = parse_multigraph(stdout)
+    assert g.n == 6
+    assert np.array_equal(g.degree, np.full(6, 4))
 
 
 def test_sample_impossible_exits_one(capsys):
@@ -51,19 +62,55 @@ def test_sample_impossible_exits_one(capsys):
     assert "error" in err
 
 
+def deleted_line(text):
+    """The 1-based labels of percolate's "# deleted:" comment line."""
+    (line,) = [ln for ln in text.splitlines() if ln.startswith("# deleted:")]
+    return [int(x) for x in line.split()[2:]]
+
+
 def test_percolate_pipeline(tmp_path, capsys):
-    conf = tmp_path / "conf.txt"
+    graph = tmp_path / "graph.txt"
     outc = tmp_path / "out.txt"
     assert run_cli(capsys, "sample", "--n", "30", "--d", "4", "--seed", "1",
-                   "-o", str(conf))[0] == 0
+                   "-o", str(graph))[0] == 0
     code, _, _ = run_cli(
-        capsys, "percolate", "-i", str(conf), "--alpha", "0.5", "--seed", "2",
+        capsys, "percolate", "-i", str(graph), "--alpha", "0.5", "--seed", "2",
         "-o", str(outc),
     )
     assert code == 0
-    out = parse_outcome(outc.read_text())
-    assert out.survivor.n + out.r == 30
-    assert sum(out.census) == 30 - out.r
+    survivor = parse_multigraph(outc.read_text())
+    assert survivor.n + len(deleted_line(outc.read_text())) == 30
+    assert survivor.degree.max() <= 4
+
+
+@pytest.mark.parametrize(
+    "mode, seed", [("simple", 1), ("simple", 2), ("multigraph", 3), ("multigraph", 4)]
+)
+def test_percolate_matches_point_level_deletion(tmp_path, capsys, mode, seed):
+    # sample then percolate, against the same draws made in memory: the
+    # pairing (a simple graph's comes after the rejections that sample
+    # reports), the deletion set D, and apply_deletion at the point level
+    n, d, alpha = 40, 3, 0.4
+    graph = tmp_path / "graph.txt"
+    flags = ["--multigraph"] if mode == "multigraph" else []
+    code, _, err = run_cli(capsys, "sample", "--n", str(n), "--d", str(d),
+                           "--seed", str(seed), *flags, "-o", str(graph))
+    assert code == 0
+    code, stdout, _ = run_cli(capsys, "percolate", "-i", str(graph), "--alpha",
+                              str(alpha), "--seed", str(seed + 100))
+    assert code == 0
+
+    rng = np.random.default_rng(seed)
+    draws = 1 if mode == "multigraph" else int(err.split(":")[1]) + 1
+    for _ in range(draws):
+        cfg = sample_configuration(DegreeSequence.regular(n, d), rng)
+    deleted = choose_deletion_set(DeletionParams(n, alpha=alpha, seed=seed + 100))
+    want = project(apply_deletion(cfg, deleted).survivor)
+
+    got = parse_multigraph(stdout)
+    assert got.n == want.n
+    assert np.array_equal(got.edges, canonical_edges(want.edges))
+    assert deleted_line(stdout) == (deleted + 1).tolist()
 
 
 def test_percolate_requires_exactly_one_rate(tmp_path, capsys):
@@ -80,17 +127,17 @@ def test_percolate_requires_exactly_one_rate(tmp_path, capsys):
 
 
 def test_analyze_accepts_outcome_and_edge_list(tmp_path, capsys):
-    conf = tmp_path / "conf.txt"
+    graph = tmp_path / "graph.txt"
     outc = tmp_path / "out.txt"
-    run_cli(capsys, "sample", "--n", "40", "--d", "4", "--seed", "3", "-o", str(conf))
-    run_cli(capsys, "percolate", "-i", str(conf), "--alpha", "0.4", "--seed", "5",
+    run_cli(capsys, "sample", "--n", "40", "--d", "4", "--seed", "3", "-o", str(graph))
+    run_cli(capsys, "percolate", "-i", str(graph), "--alpha", "0.4", "--seed", "5",
             "-o", str(outc))
     code, stdout, _ = run_cli(capsys, "analyze", "-i", str(outc))
     assert code == 0
     rep = json.loads(stdout)
-    assert rep["n"] + len(parse_outcome(outc.read_text()).deleted) == 40
+    assert rep["n"] + len(deleted_line(outc.read_text())) == 40
 
-    edges = tmp_path / "graph.txt"
+    edges = tmp_path / "cycle.txt"
     g = Multigraph(4, np.array([[0, 1], [1, 2], [2, 3], [3, 0]]))
     edges.write_text(format_multigraph(g))
     code2, stdout2, _ = run_cli(capsys, "analyze", "-i", str(edges))
@@ -124,15 +171,6 @@ def test_analyze_rejects_malformed_input(tmp_path, capsys):
     assert "error" in err
 
 
-def test_analyze_rejects_bucket_label_out_of_range(tmp_path, capsys):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("2 1 1\n3 1 1 1\n")
-    code, _, err = run_cli(capsys, "analyze", "-i", str(bad))
-    assert code == 1
-    assert err.startswith("error:")
-    assert "Traceback" not in err
-
-
 def run_python(*argv, **kwargs):
     src = str(Path(perclab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -154,41 +192,23 @@ def test_import_leaves_scipy_stats_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize(
-    "trailer", ["deleted: 5 6 7\ncensus: 0 0 2\n", "deleted: 1\ncensus: 9 9\n"]
-)
-def test_module_entry_rejects_inconsistent_outcome(tmp_path, trailer):
-    # two buckets joined by a double edge, then a bad deleted:/census: trailer
-    bad = tmp_path / "bad.txt"
-    bad.write_text("2 2 2\n1 1 2 1\n1 2 2 2\n" + trailer)
-    proc = run_module("analyze", "-i", str(bad))
-    assert proc.returncode == 1
+def assert_clean_error(proc, message):
+    """Exit 1 with one error: line naming the fault, and no traceback."""
+    assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error:")
+    assert message in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize(
-    "text", ["1 2\n1 1 1 1\n", "2 2 2\n1 1 2 1\n1 1 2 2\n"]
-)
-def test_module_entry_rejects_point_matched_twice(tmp_path, text):
-    bad = tmp_path / "bad.txt"
-    bad.write_text(text)
-    proc = run_module("analyze", "-i", str(bad))
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error:")
-    assert "matched twice" in proc.stderr
-    assert "Traceback" not in proc.stderr
+# what each command that reads a graph needs besides its input
+RATE = {"analyze": [], "expansion": [], "percolate": ["--alpha", "0.5"]}
 
 
-@pytest.mark.parametrize("command", ["analyze", "expansion"])
+@pytest.mark.parametrize("command", RATE)
 def test_module_entry_rejects_negative_vertex_count(tmp_path, command):
     bad = tmp_path / "bad.txt"
     bad.write_text("-3\n")
-    proc = run_module(command, "-i", str(bad))
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error:")
-    assert "n=-3" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert_clean_error(run_module(command, "-i", str(bad), *RATE[command]), "n=-3")
 
 
 @pytest.mark.parametrize("count", ["100000000000000000000", "3000000000"])
@@ -196,21 +216,24 @@ def test_module_entry_rejects_vertex_count_past_int32(tmp_path, count):
     # the first is outside int64, the second would size a 22 GiB array
     bad = tmp_path / "bad.txt"
     bad.write_text(count + "\n")
-    proc = run_module("analyze", "-i", str(bad))
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error:")
-    assert f"n={count}" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert_clean_error(run_module("analyze", "-i", str(bad)), f"n={count}")
 
 
 def test_module_entry_rejects_edge_endpoint_out_of_range(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("3\n1 2\n2 4\n")
-    proc = run_module("analyze", "-i", str(bad))
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error:")
-    assert "endpoint out of range" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    for command in RATE:
+        proc = run_module(command, "-i", str(bad), *RATE[command])
+        assert_clean_error(proc, "endpoint out of range")
+
+
+@pytest.mark.parametrize("text", ["1\n", "0\n"])
+def test_module_entry_rejects_alpha_below_two_vertices(tmp_path, text):
+    # n**-alpha is 1 at n = 1 and undefined at n = 0, a probability at neither
+    graph = tmp_path / "graph.txt"
+    graph.write_text(text)
+    proc = run_module("percolate", "-i", str(graph), "--alpha", "0.5")
+    assert_clean_error(proc, "not a probability")
 
 
 def test_module_entry_reports_running_out_of_memory(tmp_path):
@@ -323,11 +346,7 @@ def test_experiment_writes_outputs(tmp_path, capsys):
 def test_experiment_config_without_d_exits_one(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("n = 5\n")
-    proc = run_module("experiment", "--config", str(bad))
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error:")
-    assert "lacks required key(s): d" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert_clean_error(run_module("experiment", "--config", str(bad)), "lacks required key(s): d")
 
 
 def test_experiment_when_survivors_differ_in_largest_degree(tmp_path):

@@ -120,7 +120,7 @@ def test_peel_matches_networkx_k_core():
     graphs = []
     for seed, p in [(0, 0.1), (1, 0.2), (2, 0.3)]:
         rng = np.random.default_rng(seed)
-        _, g, _ = sample_simple_regular(2000, 3, seed=rng)
+        g, _ = sample_simple_regular(2000, 3, seed=rng)
         graphs.append(g.induced(rng.random(g.n) >= p)[0])
     # the simple part of percolated pairings in the tightness regime and
     # just below the connectivity threshold

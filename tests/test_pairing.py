@@ -1,4 +1,4 @@
-"""Sampler, projection, and serialization checks for the pairing model.
+"""Sampler, projection, and edge-list text checks for the pairing model.
 
 Small-case oracles are computed by hand or by exhaustive enumeration of
 all (2m-1)!! matchings, then frozen as constants below.
@@ -19,12 +19,10 @@ from perclab.pairing import (
     SamplingFailureError,
     canonical_edges,
     enumerate_matchings,
-    format_configuration,
     format_multigraph,
     is_simple,
     matching_key,
     pair_probability,
-    parse_configuration,
     parse_multigraph,
     project,
     sample_configuration,
@@ -265,10 +263,9 @@ def test_four_vertices_cubic_is_complete_graph():
     # the only simple cubic graph on 4 vertices is K4, whatever the seed
     want = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
     for seed in (0, 1, 2, 17):
-        cfg, g, rejections = sample_simple_regular(4, 3, seed=seed)
+        g, rejections = sample_simple_regular(4, 3, seed=seed)
         assert np.array_equal(canonical_edges(g.edges), want)
         assert rejections >= 0
-        assert np.array_equal(project(cfg).edges, g.edges)
 
 
 def test_two_vertices_cubic_has_no_simple_graph():
@@ -316,25 +313,8 @@ def test_projection_preserves_degrees(degs, seed):
     assert 2 * g.m == int(degs.sum())
 
 
-@given(even_sum_degrees(), st.integers(min_value=0, max_value=2**31))
-@settings(max_examples=60, deadline=None)
-def test_configuration_text_roundtrip(degs, seed):
-    cfg = sample_configuration(DegreeSequence(degs), seed=seed)
-    back = parse_configuration(format_configuration(cfg))
-    assert back == cfg
-
-
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def test_configuration_format_is_one_based():
-    seq = DegreeSequence(np.array([2]))
-    cfg = Configuration(seq, np.array([[0, 1]]))
-    text = format_configuration(cfg)
-    lines = text.strip().splitlines()
-    assert lines[0].split() == ["1", "2"]
-    assert lines[1].split() == ["1", "1", "1", "2"]
+# edge-list text
 
 
 def test_multigraph_text_roundtrip():
@@ -346,46 +326,7 @@ def test_multigraph_text_roundtrip():
     assert lines[1].split() == ["1", "2"]  # edges 1-based, canonical order
 
 
-def test_parse_rejects_bucket_label_out_of_range():
-    for line in ("3 1 1 1", "1 1 3 1", "0 1 1 1", "-1 1 1 1"):
-        with pytest.raises(ValueError, match="bucket label"):
-            parse_configuration("2 1 1\n" + line + "\n")
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "1 2\n1 1 1 1\n",  # a point paired with itself
-        "2 2 2\n1 1 2 1\n1 1 2 2\n",  # bucket 1's first point on two lines
-    ],
-)
-def test_parse_rejects_point_matched_twice(text):
-    with pytest.raises(ValueError, match="matched twice"):
-        parse_configuration(text)
-
-
-def test_parse_puts_pairs_in_canonical_order():
-    cfg = parse_configuration("3 2 2 2\n3 2 1 1\n2 2 1 2\n3 1 2 1\n")
-    assert np.array_equal(cfg.pairs, [[0, 5], [1, 3], [2, 4]])
-
-
-@pytest.mark.parametrize("degs", [[4] * 12, [3, 1, 0, 2, 2]])
-def test_parse_of_shuffled_text_is_canonical(degs):
-    # pair lines in random order, each with its two points in random order
-    rng = np.random.default_rng(5)
-    cfg = sample_configuration(DegreeSequence(np.array(degs)), seed=rng)
-    header, *body = format_configuration(cfg).splitlines()
-    body = [ln.split() for ln in body]
-    body = [" ".join(t[2:] + t[:2] if rng.random() < 0.5 else t) for t in body]
-    rng.shuffle(body)
-    back = parse_configuration("\n".join([header, *body]))
-    assert_canonical(back)
-    assert back == cfg
-
-
 def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_configuration("3 2 2\n1 1 2 1\n")  # header says n=3 but lists 2 degrees
     with pytest.raises(ValueError):
         parse_multigraph("1 2 3\n")
 

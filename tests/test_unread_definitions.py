@@ -22,12 +22,6 @@ import perclab
 PACKAGE = Path(perclab.__file__).resolve().parent
 ROOT = PACKAGE.parents[1]
 
-# qualified name -> why it stays without a reader
-ALLOWED = {
-    "pairing.format_multigraph": "writes the edge-list format that the CLI reads, "
-    "and the tests build their fixtures with it",
-}
-
 # qualified class name -> the output that reads every field of it at once
 WRITTEN_WHOLE = {
     "harness.TrialRecord": "report.json, trials.csv and the benchmark's vars(rec)",
@@ -109,7 +103,6 @@ def test_every_definition_has_a_reader():
         for qual, name in definitions()
         if not (name.startswith("__") and name.endswith("__"))
         and counts[name] == 0
-        and qual not in ALLOWED
     ]
     assert unread == [], f"defined but never read outside the tests: {unread}"
 
@@ -126,5 +119,4 @@ def test_every_field_has_a_reader():
 
 def test_allowed_names_exist():
     quals = {qual for qual, _ in definitions()}
-    assert set(ALLOWED) <= quals
     assert set(WRITTEN_WHOLE) <= quals

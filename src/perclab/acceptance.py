@@ -43,7 +43,6 @@ from perclab.pairing import (
     SamplingFailureError,
     enumerate_matchings,
     matching_key,
-    pair_off,
     pair_probability,
     project,
     sample_configuration,
@@ -275,9 +274,10 @@ def crit_01_sampler_uniformity(ctx) -> CriterionResult:
 
 
 def crit_02_pair_probability(ctx) -> CriterionResult:
-    # every order of the 2m = 8 points gives each of the 105 pairings 2^m m! =
-    # 384 times, and the pair (0, 1) occurs in 8! P((0, 1) paired) of them
-    counts = Counter(matching_key(pair_off(np.array(order))) for order in permutations(range(8)))
+    # the sampler reads a point order two at a time: every order of the
+    # 2m = 8 points gives each of the 105 pairings 2^m m! = 384 times, and
+    # the pair (0, 1) occurs in 8! P((0, 1) paired) of them
+    counts = Counter(matching_key(np.reshape(order, (-1, 2))) for order in permutations(range(8)))
     pair_01 = sum(c for key, c in counts.items() if key[0] == (0, 1))
     want_01 = round(math.factorial(8) * pair_probability(4, 1))
     passed = (
@@ -286,7 +286,7 @@ def crit_02_pair_probability(ctx) -> CriterionResult:
     )
     return CriterionResult(
         2,
-        "pair_off maps the 8! point orders evenly onto the 105 pairings (m=4, exact)",
+        "the 8! point orders, read two at a time, give the 105 pairings evenly (m=4, exact)",
         passed,
         [
             f"{len(counts)}/105 pairings, each {min(counts.values())}..{max(counts.values())} times "

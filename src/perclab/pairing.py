@@ -8,8 +8,10 @@ Conditioning on the projection being simple recovers the uniform simple
 d-regular graph, at the price of rejection sampling.
 
 Points are indexed globally: bucket b owns the contiguous block
-offsets[b] .. offsets[b+1]-1.  The one text format is the projected edge
-list, whose vertex labels are 1-based; everything in memory is 0-based.
+offsets[b] .. offsets[b+1]-1.  A pairing is kept in the order it was
+drawn; ``pair_off`` gives its canonical form, which only comparisons
+need.  The one text format is the projected edge list, whose vertex
+labels are 1-based; everything in memory is 0-based.
 """
 
 from __future__ import annotations
@@ -87,10 +89,11 @@ class DegreeSequence:
 class Configuration:
     """A degree sequence plus a perfect matching of its points.
 
-    ``pairs`` is an (m, 2) array of global point ids in canonical form:
-    u < v in each row, rows in increasing u, and every point in exactly
-    one row.  The constructor trusts its caller: the sampler and
-    ``apply_deletion`` are the only producers, and both build this form.
+    ``pairs`` is an (m, 2) array of global point ids with every point in
+    exactly one row; rows may come in any order and either end first.
+    Equality compares canonical forms (``pair_off``).  The constructor
+    trusts its caller: the sampler and ``apply_deletion`` are the only
+    producers, and both build a perfect matching.
     """
 
     seq: DegreeSequence
@@ -103,7 +106,9 @@ class Configuration:
     def __eq__(self, other):
         if not isinstance(other, Configuration):
             return NotImplemented
-        return self.seq == other.seq and np.array_equal(self.pairs, other.pairs)
+        return self.seq == other.seq and np.array_equal(
+            pair_off(self.pairs.ravel()), pair_off(other.pairs.ravel())
+        )
 
 
 @dataclass(eq=False)
@@ -216,7 +221,7 @@ def sample_configuration(seq: DegreeSequence, seed=None) -> Configuration:
     which is how multi-stage pipelines stay on one stream).
     """
     rng = np.random.default_rng(seed)
-    return Configuration(seq, pair_off(rng.permutation(seq.total_points)))
+    return Configuration(seq, rng.permutation(seq.total_points).reshape(-1, 2))
 
 
 def pair_off(order: np.ndarray) -> np.ndarray:
@@ -285,9 +290,9 @@ def pair_probability(m: int, k: int) -> float:
 
 
 def matching_key(pairs: np.ndarray) -> tuple:
-    """Hashable form of canonical pairs, comparable with
-    enumerate_matchings' keys."""
-    return tuple(map(tuple, np.asarray(pairs).tolist()))
+    """Hashable canonical form of a perfect matching, whatever its row
+    order and orientation; comparable with enumerate_matchings' keys."""
+    return tuple(map(tuple, pair_off(np.ravel(pairs)).tolist()))
 
 
 def enumerate_matchings(total_points: int) -> list[tuple]:

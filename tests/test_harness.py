@@ -139,6 +139,28 @@ def test_simple_mode_counts_rejections():
     assert rec.rejections >= 0
 
 
+@pytest.mark.parametrize(
+    "d, alpha, mode, certify",
+    [
+        (4, 0.5, "multigraph", False),
+        (3, 0.18, "multigraph", False),
+        (4, 0.5, "multigraph", True),
+        (3, 0.5, "simple", False),
+    ],
+    ids=["headline_1e6", "tight_d3", "certify_1e4", "simple"],
+)
+def test_trial_never_puts_pairs_in_canonical_form(monkeypatch, d, alpha, mode, certify):
+    # a record reads the pairing as a set of pairs, so canonical form is
+    # for comparisons only; the benchmark's shapes at n = 10^4
+    def refuse(order):
+        raise AssertionError("pair_off called on the trial path")
+
+    monkeypatch.setattr("perclab.pairing.pair_off", refuse)
+    cfg = ExperimentConfig(n=10_000, d=d, alpha=alpha, mode=mode, exhaustive_expansion=certify)
+    rec = run_trial(cfg, 0)
+    assert sum(rec.census) == rec.n - rec.r
+
+
 def test_exhaustive_mode_populates_bounds():
     cfg = small_config(n=14, d=3, alpha=0.3, exhaustive_expansion=True, trials=4)
     saw_exact = False

@@ -22,6 +22,7 @@ from perclab.pairing import (
     format_multigraph,
     is_simple,
     matching_key,
+    pair_off,
     pair_probability,
     parse_multigraph,
     project,
@@ -29,7 +30,7 @@ from perclab.pairing import (
     sample_simple_regular,
 )
 
-from canonical_form import assert_canonical
+from perfect_matching import assert_perfect_matching
 
 
 # ---------------------------------------------------------------------------
@@ -107,24 +108,58 @@ def test_single_bucket_unique_matching():
     # one bucket of degree 2 has exactly one matching: a loop
     seq = DegreeSequence(np.array([2]))
     cfg = sample_configuration(seq, seed=7)
-    assert np.array_equal(cfg.pairs, [[0, 1]])
+    assert matching_key(cfg.pairs) == ((0, 1),)
     g = project(cfg)
     assert g.n == 1 and g.m == 1
     assert np.array_equal(g.degree, [2])
 
 
-def test_sampled_pairs_are_canonical():
+def test_sampled_pairs_are_a_perfect_matching():
     for seq in (DegreeSequence.regular(30, 3), DegreeSequence(np.array([3, 1, 0, 2, 2]))):
         for seed in range(20):
-            assert_canonical(sample_configuration(seq, seed=seed))
+            assert_perfect_matching(sample_configuration(seq, seed=seed))
+
+
+@pytest.mark.parametrize(
+    "degrees", [[3] * 30, [4] * 25, [3, 1, 0, 2, 2], [0, 5, 1, 2, 0, 4, 6]],
+)
+def test_sampler_reads_the_permutation_two_at_a_time(degrees):
+    # the same pairing and the same stream as pairing off one permutation
+    # of the points: a seed gives the graph and the deletion set it gave
+    # when the sampler put its pairs in canonical form
+    seq = DegreeSequence(np.array(degrees))
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        got = matching_key(sample_configuration(seq, rng).pairs)
+        ref = np.random.default_rng(seed)
+        assert got == matching_key(pair_off(ref.permutation(seq.total_points)))
+        assert rng.random() == ref.random()
+
+
+def test_comparisons_ignore_row_order_and_orientation():
+    rng = np.random.default_rng(3)
+    for seq in (DegreeSequence.regular(40, 3), DegreeSequence(np.array([3, 1, 0, 2, 2]))):
+        cfg = sample_configuration(seq, rng)
+        key = matching_key(cfg.pairs)
+        assert key == matching_key(pair_off(cfg.pairs.ravel()))
+        for _ in range(10):
+            pairs = rng.permutation(cfg.pairs)  # shuffles the rows
+            flip = rng.random(len(pairs)) < 0.5
+            pairs[flip] = pairs[flip, ::-1]
+            assert matching_key(pairs) == key
+            assert Configuration(seq, pairs) == cfg
+        other = cfg.pairs.copy()
+        other[[0, 1], 1] = other[[1, 0], 1]  # two rows trade partners
+        assert matching_key(other) != key
+        assert Configuration(seq, other) != cfg
 
 
 @pytest.mark.parametrize(
     "pairs, message",
     [
         ([1, 0, 3, 2, 5, 4], "shape"),  # a mate-style involution
-        ([[2, 3], [0, 1], [4, 5]], "canonical"),  # rows not by increasing u
-        ([[1, 0], [2, 3], [4, 5]], "canonical"),  # u > v within a row
+        ([[2, 3], [0, 1], [4, 5]], "canonical"),  # rows not by increasing u: valid
+        ([[1, 0], [2, 3], [4, 5]], "canonical"),  # u > v within a row: valid
         ([[0, 1], [1, 2], [3, 4]], "more than once"),  # point 1 twice, 5 never
         ([[0, 1], [2, 3], [4, 6]], "out of range"),
         ([[-1, 0], [2, 3], [4, 5]], "out of range"),
@@ -135,9 +170,16 @@ def test_sampled_pairs_are_canonical():
 )
 def test_configuration_rejects_noncanonical_pairs(pairs, message):
     # the constructor trusts its caller, so the tests' check of each
-    # producer is what must catch these
+    # producer is what must catch a malformed matching.  A matching that is
+    # only out of canonical order ("canonical") is valid, and compares
+    # equal to its canonical form.
+    cfg = Configuration(DegreeSequence.regular(3, 2), np.array(pairs))
+    if message == "canonical":
+        assert_perfect_matching(cfg)
+        assert cfg == Configuration(cfg.seq, np.array([[0, 1], [2, 3], [4, 5]]))
+        return
     with pytest.raises(AssertionError, match=message):
-        assert_canonical(Configuration(DegreeSequence.regular(3, 2), np.array(pairs)))
+        assert_perfect_matching(cfg)
 
 
 def test_sampler_determinism_and_generator_passthrough():
@@ -175,7 +217,7 @@ def test_specific_pair_frequency():
     hits = 0
     for _ in range(n_draws):
         cfg = sample_configuration(seq, rng)
-        hits += cfg.pairs[0, 1] == 1
+        hits += matching_key(cfg.pairs)[0] == (0, 1)
     p = 1 / 9
     sigma = math.sqrt(p * (1 - p) / n_draws)
     assert abs(hits / n_draws - p) < 4 * sigma

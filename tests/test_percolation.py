@@ -28,7 +28,7 @@ from perclab.percolation import (
     reinstate,
 )
 
-from canonical_form import assert_canonical
+from perfect_matching import assert_perfect_matching
 
 
 def census(out, d):
@@ -86,13 +86,13 @@ def assert_delete_after_project(cfg, deleted):
     """Deleting after projecting, as harness.run_trial and perclab
     percolate do, against apply_deletion then project: the same graph row
     for row, the surviving buckets as labels and the census of that graph's
-    degrees.  The survivor's pairs must be canonical too."""
+    degrees.  The survivor's pairs must be a perfect matching too."""
     got = delete_vertices(project(cfg), deleted)
     alive = np.ones(cfg.n, dtype=bool)
     alive[deleted] = False
     labels = project(cfg).induced(alive)[1]
     out = apply_deletion(cfg, deleted)
-    assert_canonical(out.survivor)
+    assert_perfect_matching(out.survivor)
     want = project(out.survivor)
     assert got.n == want.n
     assert got.edges.dtype == want.edges.dtype and np.array_equal(got.edges, want.edges)

@@ -274,9 +274,8 @@ def crit_01_sampler_uniformity(ctx) -> CriterionResult:
 
 
 def crit_02_pair_probability(ctx) -> CriterionResult:
-    # the sampler reads a point order two at a time: every order of the
-    # 2m = 8 points gives each of the 105 pairings 2^m m! = 384 times, and
-    # the pair (0, 1) occurs in 8! P((0, 1) paired) of them
+    # read two at a time, as the sampler reads them, the 8! orders of 2m = 8 points give
+    # each of the 105 pairings 2^m m! = 384 times, and (0, 1) in 8! P((0, 1) paired)
     counts = Counter(matching_key(np.reshape(order, (-1, 2))) for order in permutations(range(8)))
     pair_01 = sum(c for key, c in counts.items() if key[0] == (0, 1))
     want_01 = round(math.factorial(8) * pair_probability(4, 1))

@@ -8,10 +8,9 @@ Conditioning on the projection being simple recovers the uniform simple
 d-regular graph, at the price of rejection sampling.
 
 Points are indexed globally: bucket b owns the contiguous block
-offsets[b] .. offsets[b+1]-1.  A pairing is kept in the order it was
-drawn; ``pair_off`` gives its canonical form, which only comparisons
-need.  The one text format is the projected edge list, whose vertex
-labels are 1-based; everything in memory is 0-based.
+offsets[b] .. offsets[b+1]-1.  Pairs stay in draw order; ``pair_off``
+gives the canonical form that comparisons use.  The one text format is
+the projected edge list, 1-based; everything in memory is 0-based.
 """
 
 from __future__ import annotations
@@ -89,11 +88,10 @@ class DegreeSequence:
 class Configuration:
     """A degree sequence plus a perfect matching of its points.
 
-    ``pairs`` is an (m, 2) array of global point ids with every point in
-    exactly one row; rows may come in any order and either end first.
-    Equality compares canonical forms (``pair_off``).  The constructor
-    trusts its caller: the sampler and ``apply_deletion`` are the only
-    producers, and both build a perfect matching.
+    ``pairs`` is an (m, 2) array of global point ids, every point in
+    exactly one row, rows in any order and either end first; equality
+    compares canonical forms.  The constructor trusts its two producers,
+    the sampler and ``apply_deletion``, to build a perfect matching.
     """
 
     seq: DegreeSequence
@@ -232,10 +230,7 @@ def pair_off(order: np.ndarray) -> np.ndarray:
     partner = np.zeros(order.size, dtype=np.int64)
     partner[np.minimum(order[0::2], order[1::2])] = np.maximum(order[0::2], order[1::2])
     first = np.flatnonzero(partner)
-    pairs = np.empty((first.size, 2), dtype=np.int64)
-    pairs[:, 0] = first
-    pairs[:, 1] = partner[first]
-    return pairs
+    return np.column_stack((first, partner[first]))
 
 
 def project(config: Configuration) -> Multigraph:

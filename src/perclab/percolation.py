@@ -107,8 +107,7 @@ def apply_deletion(config: Configuration, deleted) -> PercolationOutcome:
     lost = np.bincount(bop[cut_points], minlength=n)
     new_degrees = (seq.degrees - lost)[~dead_bucket]
 
-    # relabel the surviving points in order: the kept rows become a
-    # perfect matching of 0..t'-1
+    # relabel surviving points in order: the kept rows match 0..t'-1
     new_id = np.cumsum(keep_point) - 1
     survivor = Configuration(DegreeSequence(new_degrees), new_id[kept])
     return PercolationOutcome(deleted=deleted, survivor=survivor)

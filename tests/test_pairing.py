@@ -124,9 +124,8 @@ def test_sampled_pairs_are_a_perfect_matching():
     "degrees", [[3] * 30, [4] * 25, [3, 1, 0, 2, 2], [0, 5, 1, 2, 0, 4, 6]],
 )
 def test_sampler_reads_the_permutation_two_at_a_time(degrees):
-    # the same pairing and the same stream as pairing off one permutation
-    # of the points: a seed gives the graph and the deletion set it gave
-    # when the sampler put its pairs in canonical form
+    # the pairing that pair_off makes of one permutation of the points, and
+    # no further draw, so the deletion set that follows is the same too
     seq = DegreeSequence(np.array(degrees))
     for seed in range(50):
         rng = np.random.default_rng(seed)
@@ -141,7 +140,6 @@ def test_comparisons_ignore_row_order_and_orientation():
     for seq in (DegreeSequence.regular(40, 3), DegreeSequence(np.array([3, 1, 0, 2, 2]))):
         cfg = sample_configuration(seq, rng)
         key = matching_key(cfg.pairs)
-        assert key == matching_key(pair_off(cfg.pairs.ravel()))
         for _ in range(10):
             pairs = rng.permutation(cfg.pairs)  # shuffles the rows
             flip = rng.random(len(pairs)) < 0.5
